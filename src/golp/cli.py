@@ -24,7 +24,7 @@ from .breakeven import (
     measured_crossover,
     solve_break_even,
 )
-from .device import KEY_ONLY, TransferLedger, calibrate_profile, make_device
+from .device import KEY_ONLY, calibrate_profile, make_device
 from .errors import (
     CalibrationError,
     GolpError,
@@ -55,7 +55,7 @@ from .harness import (
     run_scaling_baseline,
     run_strategy_comparison,
 )
-from .store import ROW_ID_BYTES, generate_table, save_table
+from .store import generate_table, save_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -118,24 +118,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _key_only_ledgers(payload: PayloadComparison, k: int) -> list[tuple[int, TransferLedger]]:
-    # fig6 rows drop d2h_bytes, but for a Top-K call it is exactly
-    # 4 bytes per returned row id, so the ledger reconstructs losslessly
-    out = []
-    for r in payload.transfer_rows:
-        if r.mode != KEY_ONLY:
-            continue
-        out.append((r.n, TransferLedger.build(
-            h2d_bytes=r.h2d_bytes,
-            d2h_bytes=ROW_ID_BYTES * min(k, r.n),
-            t_h2d=r.t_h2d,
-            t_kernel=r.t_kernel,
-            t_d2h=r.t_d2h,
-            t_post=r.t_post,
-        )))
-    return out
-
-
 def _fit_from_runs(scaling: Sequence[ScalingRow], payload: PayloadComparison):
     cpu_pts = [(float(r.n), r.median_s) for r in scaling if r.op == OP_FULL_SORT]
     tx_pts = [
@@ -184,35 +166,29 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rc = load_run_config(args)
     spec, gate = rc.workload, rc.gate
 
-    if rc.backend == "modeled":
-        device = make_device("modeled", gate.profile)
-        scaling = run_scaling_baseline(spec, backend="modeled", cpu_model=gate.cpu_model)
+    with make_device(rc.backend, gate.profile, workers=args.workers) as device:
+        scaling = run_scaling_baseline(spec, device, cpu_model=gate.cpu_model)
         payload = run_payload_comparison(spec, device=device)
-        strategies = run_strategy_comparison(spec, gate, device=device)
-        margins = run_margin_sweep(spec, DEFAULT_MARGINS, gate)
-        sweep = model_breakeven_sweep(spec, gate)
-        fit = _fit_from_runs(scaling, payload)
-        be = _solve_with_sweep(fit, gate, spec.k, sweep, strict=True)
-    else:
-        device = make_device("proxy", workers=args.workers)
-        try:
-            scaling = run_scaling_baseline(spec, backend="proxy")
-            cpu_model = calibrate_cpu_model([
-                (OP_FULL_SORT, r.n, spec.k, r.median_s)
-                for r in scaling if r.op == OP_FULL_SORT
-            ])
-            payload = run_payload_comparison(spec, device=device)
-            profile = calibrate_profile(_key_only_ledgers(payload, spec.k), op=OP_TOPK)
-            gate = dataclasses.replace(gate, cpu_model=cpu_model, profile=profile)
-            strategies = run_strategy_comparison(spec, gate, device=device)
-            margins = run_margin_sweep(spec, DEFAULT_MARGINS, gate)
+        if device.virtual_clock:
+            sweep = model_breakeven_sweep(spec, gate)
+        else:
+            # a measured run gates on constants calibrated from itself and is
+            # validated against its own curves
+            gate = dataclasses.replace(
+                gate,
+                cpu_model=calibrate_cpu_model([
+                    (OP_FULL_SORT, r.n, spec.k, r.median_s)
+                    for r in scaling if r.op == OP_FULL_SORT
+                ]),
+                profile=calibrate_profile(payload.key_only_ledgers, op=OP_TOPK),
+            )
             sweep = breakeven_rows_from_runs(scaling, payload.transfer_rows)
-            fit = _fit_from_runs(scaling, payload)
-            # measured constants need not cross on this hardware; the figure
-            # data is still worth exporting when they do not
-            be = _solve_with_sweep(fit, gate, spec.k, sweep, strict=False)
-        finally:
-            device.close()
+        strategies = run_strategy_comparison(spec, gate, device=device)
+    margins = run_margin_sweep(spec, DEFAULT_MARGINS, gate)
+    fit = _fit_from_runs(scaling, payload)
+    # measured constants need not cross on this hardware; the figure data is
+    # still worth exporting when they do not
+    be = _solve_with_sweep(fit, gate, spec.k, sweep, strict=device.virtual_clock)
 
     report = BenchReport(
         scaling_rows=list(scaling),
@@ -297,14 +273,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     cpu_pts = read_curve_csv(args.cpu, "cpu")
     tx_pts = read_curve_csv(args.tx, "tx")
     fit = make_fit_result(cpu_pts, tx_pts)
-    profile = rc.gate.profile
-    terms = DeviceTerms(
-        launch=profile.launch_overhead,
-        kernel_rate=profile.kernel_rate_topk,
-        post_rate=profile.post_rate,
-        k=rc.workload.k,
-    )
-    be = solve_break_even(fit, terms)
+    be = solve_break_even(fit, _device_terms(rc.gate, rc.workload.k))
     measured: Optional[float] = None
     error: Optional[float] = None
     if args.sweep:

@@ -1,6 +1,7 @@
 """Coprocessor abstraction: transfer phases, device kernels, per-call ledgers.
 
-Two interchangeable backends:
+``OPS`` holds what each op costs and returns. Two interchangeable backends,
+each of which owns the clock that times a query:
 
 * ``ModeledDevice`` runs on a virtual clock. Phase times are pure arithmetic
   over a ``DeviceProfile``; results come from the host primitives, so a
@@ -19,11 +20,12 @@ end-to-end cost includes turning returned row ids back into rows.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,9 +47,67 @@ FULL_ROW = "full_row"
 MODES = (KEY_ONLY, FULL_ROW)
 
 OP_TOPK = "topk"
+OP_FULL_SORT = "full_sort"
 OP_PROBE = "probe"
 
 _TINY_RATE = 1e-12
+
+
+def _log2_n(n: int, k: int) -> float:
+    return math.log2(max(n, 2))
+
+
+def _k(n: int, k: int) -> float:
+    return k
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """Everything the cost models, the gate and the backends know about one op.
+
+    The host cost is alpha * n * row_factor(n, k) + beta, with alpha and beta
+    the CpuCostModel pair alpha_<cpu_family>, beta_<cpu_family>. An op whose
+    kernel_rate (a DeviceProfile field) is None runs on the host only.
+    """
+
+    name: str
+    cpu_family: str
+    row_factor: Callable[[int, int], float]
+    kernel_rate: Optional[str]
+    returned_row_bytes: Optional[int]
+    joins: bool  # the query's tables are (build, probe) and it returns matches
+
+    def shape(self, tables) -> tuple[int, int, int]:
+        """(n, build_n, payload_bytes) of a query's tables.
+
+        A join's tables are (build, probe): n is the probe side, and its
+        payload width is the one a full-row transfer ships.
+        """
+        if self.joins:
+            build, probe = tables
+            return probe.row_count, build.row_count, probe.payload_bytes
+        return tables.row_count, 0, tables.payload_bytes
+
+    def returned(self, n: int, k: int) -> int:
+        """Rows a device call returns: min(k, n) for a Top-K, k matches for a join."""
+        return k if self.joins else min(k, n)
+
+
+OPS = {spec.name: spec for spec in (
+    OpSpec(OP_TOPK, "sort", _log2_n, "kernel_rate_topk", ROW_ID_BYTES, joins=False),
+    OpSpec(OP_FULL_SORT, "sort", _log2_n, None, None, joins=False),
+    OpSpec(OP_PROBE, "match", _k, "kernel_rate_probe", 2 * ROW_ID_BYTES, joins=True),
+)}
+
+
+def op_spec(op: str, on_device: bool = False) -> OpSpec:
+    """The table entry for op; on_device also requires a device kernel."""
+    spec = OPS.get(op)
+    if spec is None:
+        raise ValueError(f"unknown op {op!r}")
+    if on_device and spec.kernel_rate is None:
+        raise ValueError(f"op {op!r} has no device kernel")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -71,14 +131,7 @@ class DeviceProfile:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DeviceProfile":
-        return cls(**{k: float(obj[k]) for k in (
-            "h2d_bandwidth",
-            "d2h_bandwidth",
-            "launch_overhead",
-            "kernel_rate_topk",
-            "kernel_rate_probe",
-            "post_rate",
-        )})
+        return cls(**{f.name: float(obj[f.name]) for f in fields(cls)})
 
 
 # Chosen so the default configuration tells a coherent story: break-even
@@ -133,14 +186,6 @@ class DeviceCallResult:
     backend: str
 
 
-class CostEstimate(NamedTuple):
-    t_h2d: float
-    t_kernel: float
-    t_d2h: float
-    t_post: float
-    total: float
-
-
 def transfer_entry_bytes(mode: str, payload_bytes: Optional[int]) -> int:
     if mode == KEY_ONLY:
         return KEY_ENTRY_BYTES
@@ -158,36 +203,59 @@ def estimate_device_cost(
     mode: str = KEY_ONLY,
     payload_bytes: Optional[int] = None,
     profile: DeviceProfile = DEFAULT_MODELED_PROFILE,
-) -> CostEstimate:
-    """Predicted phase times for a device call; exact for the modeled backend.
+) -> TransferLedger:
+    """Predicted ledger of a device call over n rows; exact for the modeled backend.
 
-    For probes, n counts both sides of the join and k stands in for the
-    expected match count (actual ledgers use the true count).
+    For a Top-K, k is the requested count. For a probe, n counts both sides
+    of the join and k is the match count: the gate's expected count, or the
+    true one in a modeled call.
     """
+    spec = op_spec(op, on_device=True)
+    returned = spec.returned(n, k)
     h2d_bytes = transfer_entry_bytes(mode, payload_bytes) * n
-    if op == OP_TOPK:
-        returned = min(k, n)
-        d2h_bytes = ROW_ID_BYTES * returned
-        t_kernel = profile.launch_overhead + profile.kernel_rate_topk * n
-    elif op == OP_PROBE:
-        returned = k
-        d2h_bytes = 2 * ROW_ID_BYTES * returned
-        t_kernel = profile.launch_overhead + profile.kernel_rate_probe * n
-    else:
-        raise ValueError(f"unknown op {op!r}")
-    t_h2d = h2d_bytes / profile.h2d_bandwidth
-    t_d2h = d2h_bytes / profile.d2h_bandwidth
-    t_post = profile.post_rate * returned
-    return CostEstimate(t_h2d, t_kernel, t_d2h, t_post, t_h2d + t_kernel + t_d2h + t_post)
+    d2h_bytes = spec.returned_row_bytes * returned
+    return TransferLedger.build(
+        h2d_bytes=h2d_bytes,
+        d2h_bytes=d2h_bytes,
+        t_h2d=h2d_bytes / profile.h2d_bandwidth,
+        t_kernel=profile.launch_overhead + getattr(profile, spec.kernel_rate) * n,
+        t_d2h=d2h_bytes / profile.d2h_bandwidth,
+        t_post=profile.post_rate * returned,
+    )
 
 
-class ModeledDevice:
+class _Device:
+    """A backend is a context manager; leaving the block closes it."""
+
+    def close(self) -> None:
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class ModeledDevice(_Device):
     """Virtual device: real results, arithmetic ledger, no wall clock."""
 
     name = "modeled"
+    # Every repeat of a call reports the same time, and no time is measured,
+    # so there is nothing to calibrate from.
+    virtual_clock = True
 
     def __init__(self, profile: DeviceProfile = DEFAULT_MODELED_PROFILE):
         self.profile = profile
+
+    def timed(self, run, host_s: float):
+        """(result, virtual seconds) of run(), which returns (result, ledger).
+
+        A device-path run costs its ledger total; a host-path run has no
+        ledger and costs host_s, the host cost model's figure.
+        """
+        result, ledger = run()
+        return result, host_s if ledger is None else ledger.total
 
     def topk(
         self,
@@ -197,14 +265,8 @@ class ModeledDevice:
         payload_bytes: Optional[int] = None,
     ) -> DeviceCallResult:
         payload = host_topk(keys, k)
-        est = estimate_device_cost(OP_TOPK, len(keys), k, mode, payload_bytes, self.profile)
-        ledger = TransferLedger.build(
-            h2d_bytes=transfer_entry_bytes(mode, payload_bytes) * len(keys),
-            d2h_bytes=ROW_ID_BYTES * len(payload.rows),
-            t_h2d=est.t_h2d,
-            t_kernel=est.t_kernel,
-            t_d2h=est.t_d2h,
-            t_post=est.t_post,
+        ledger = estimate_device_cost(
+            OP_TOPK, len(keys), len(payload), mode, payload_bytes, self.profile
         )
         return DeviceCallResult(payload=payload, ledger=ledger, backend=self.name)
 
@@ -216,23 +278,14 @@ class ModeledDevice:
         payload_bytes: Optional[int] = None,
     ) -> DeviceCallResult:
         payload = host_hash_probe(host_hash_build(build), probe)
-        n = len(build) + len(probe)
-        matches = payload.match_count
-        profile = self.profile
-        h2d_bytes = transfer_entry_bytes(mode, payload_bytes) * n
-        d2h_bytes = 2 * ROW_ID_BYTES * matches
-        ledger = TransferLedger.build(
-            h2d_bytes=h2d_bytes,
-            d2h_bytes=d2h_bytes,
-            t_h2d=h2d_bytes / profile.h2d_bandwidth,
-            t_kernel=profile.launch_overhead + profile.kernel_rate_probe * n,
-            t_d2h=d2h_bytes / profile.d2h_bandwidth,
-            t_post=profile.post_rate * matches,
+        ledger = estimate_device_cost(
+            OP_PROBE, len(build) + len(probe), payload.match_count, mode, payload_bytes,
+            self.profile,
         )
         return DeviceCallResult(payload=payload, ledger=ledger, backend=self.name)
 
 
-def _now() -> float:
+def wall_clock() -> float:
     return time.perf_counter_ns() / 1e9
 
 
@@ -296,7 +349,7 @@ def _probe_chunk(table, bits_chunk: np.ndarray, probe_rows_chunk: np.ndarray):
     return probe_rows_chunk[pos[order]], build_rows[order]
 
 
-class ProxyDevice:
+class ProxyDevice(_Device):
     """In-process stand-in for real hardware, wall-clock timed.
 
     The kernel phase runs the selection/probe chunk-parallel on a thread
@@ -304,6 +357,7 @@ class ProxyDevice:
     """
 
     name = "proxy"
+    virtual_clock = False
 
     def __init__(self, workers: Optional[int] = None):
         self.workers = max(1, workers if workers is not None else (os.cpu_count() or 1))
@@ -313,6 +367,16 @@ class ProxyDevice:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+
+    def timed(self, run, host_s: float):
+        """(result, wall seconds) of run(), late materialization included.
+
+        run returns (result, ledger); host_s is a virtual-clock input and is
+        not used here.
+        """
+        t0 = wall_clock()
+        result, _ = run()
+        return result, wall_clock() - t0
 
     def _chunk_bounds(self, n: int, floor: int) -> list[tuple[int, int]]:
         chunks = min(self.workers, max(1, n // max(floor, 1)))
@@ -326,6 +390,24 @@ class ProxyDevice:
             return [fn(span) for span in spans]
         return list(self._pool.map(fn, spans))
 
+    @staticmethod
+    def _h2d(vectors: Sequence[KeyVector], mode: str, payload_bytes: Optional[int]):
+        """Device copies of each vector's keys and of its rows, and the h2d window.
+
+        Only the accounted bytes are copied inside the timed window; in
+        full-row mode row ids ride along as unaccounted plumbing.
+        """
+        if mode == FULL_ROW:
+            rows = [v.rows.copy() for v in vectors]
+            t0 = wall_clock()
+            keys = [v.keys.copy() for v in vectors]
+            np.empty(sum(map(len, vectors)) * int(payload_bytes), dtype=np.uint8).copy()
+        else:
+            t0 = wall_clock()
+            keys = [v.keys.copy() for v in vectors]
+            rows = [v.rows.copy() for v in vectors]
+        return keys, rows, t0, wall_clock()
+
     def topk(
         self,
         keys: KeyVector,
@@ -337,19 +419,7 @@ class ProxyDevice:
             raise ValueError("k must be at least 1")
         n = len(keys)
         entry = transfer_entry_bytes(mode, payload_bytes)
-        # only the accounted bytes are copied inside the timed window; in
-        # full-row mode row ids ride along as unaccounted plumbing
-        if mode == FULL_ROW:
-            dev_rows = keys.rows.copy()
-            t0 = _now()
-            dev_keys = keys.keys.copy()
-            np.empty(n * int(payload_bytes), dtype=np.uint8).copy()
-            t1 = _now()
-        else:
-            t0 = _now()
-            dev_keys = keys.keys.copy()
-            dev_rows = keys.rows.copy()
-            t1 = _now()
+        (dev_keys,), (dev_rows,), t0, t1 = self._h2d([keys], mode, payload_bytes)
 
         spans = self._chunk_bounds(n, floor=max(4 * k, 4096))
 
@@ -361,22 +431,15 @@ class ProxyDevice:
         cand_keys = np.concatenate([p[0] for p in parts]) if parts else np.empty(0)
         cand_rows = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, dtype=np.uint32)
         result_rows = _merge_topk_candidates(cand_keys, cand_rows, k)
-        t2 = _now()
+        t2 = wall_clock()
 
         returned_rows = result_rows.copy()
-        t3 = _now()
+        t3 = wall_clock()
 
         payload = TopKResult(rows=returned_rows, k_requested=k)
-        t4 = _now()
+        t4 = wall_clock()
 
-        ledger = TransferLedger.build(
-            h2d_bytes=entry * n,
-            d2h_bytes=ROW_ID_BYTES * len(returned_rows),
-            t_h2d=t1 - t0,
-            t_kernel=t2 - t1,
-            t_d2h=t3 - t2,
-            t_post=t4 - t3,
-        )
+        ledger = _measured_ledger(OP_TOPK, entry * n, len(returned_rows), (t0, t1, t2, t3, t4))
         return DeviceCallResult(payload=payload, ledger=ledger, backend=self.name)
 
     def probe(
@@ -388,21 +451,9 @@ class ProxyDevice:
     ) -> DeviceCallResult:
         n_total = len(build) + len(probe)
         entry = transfer_entry_bytes(mode, payload_bytes)
-        if mode == FULL_ROW:
-            dev_build_rows = build.rows.copy()
-            dev_probe_rows = probe.rows.copy()
-            t0 = _now()
-            dev_build_keys = build.keys.copy()
-            dev_probe_keys = probe.keys.copy()
-            np.empty(n_total * int(payload_bytes), dtype=np.uint8).copy()
-            t1 = _now()
-        else:
-            t0 = _now()
-            dev_build_keys = build.keys.copy()
-            dev_probe_keys = probe.keys.copy()
-            dev_build_rows = build.rows.copy()
-            dev_probe_rows = probe.rows.copy()
-            t1 = _now()
+        (dev_build_keys, dev_probe_keys), (dev_build_rows, dev_probe_rows), t0, t1 = self._h2d(
+            [build, probe], mode, payload_bytes
+        )
 
         table = host_hash_build(KeyVector(keys=dev_build_keys, rows=dev_build_rows))
         bits = key_bits(dev_probe_keys)
@@ -415,25 +466,33 @@ class ProxyDevice:
         parts = self._map(scan, spans)
         probe_rows = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, dtype=np.uint32)
         build_rows = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, dtype=np.uint32)
-        t2 = _now()
+        t2 = wall_clock()
 
         returned = (probe_rows.copy(), build_rows.copy())
-        t3 = _now()
+        t3 = wall_clock()
 
         payload = ProbeResult(
             probe_rows=returned[0], build_rows=returned[1], probe_count=len(probe)
         )
-        t4 = _now()
+        t4 = wall_clock()
 
-        ledger = TransferLedger.build(
-            h2d_bytes=entry * n_total,
-            d2h_bytes=2 * ROW_ID_BYTES * payload.match_count,
-            t_h2d=t1 - t0,
-            t_kernel=t2 - t1,
-            t_d2h=t3 - t2,
-            t_post=t4 - t3,
+        ledger = _measured_ledger(
+            OP_PROBE, entry * n_total, payload.match_count, (t0, t1, t2, t3, t4)
         )
         return DeviceCallResult(payload=payload, ledger=ledger, backend=self.name)
+
+
+def _measured_ledger(op: str, h2d_bytes: int, returned: int, stamps) -> TransferLedger:
+    """Ledger of a wall-timed call from the five clock readings around its phases."""
+    t0, t1, t2, t3, t4 = stamps
+    return TransferLedger.build(
+        h2d_bytes=h2d_bytes,
+        d2h_bytes=OPS[op].returned_row_bytes * returned,
+        t_h2d=t1 - t0,
+        t_kernel=t2 - t1,
+        t_d2h=t3 - t2,
+        t_post=t4 - t3,
+    )
 
 
 def make_device(backend: str, profile: DeviceProfile = DEFAULT_MODELED_PROFILE,
@@ -445,46 +504,42 @@ def make_device(backend: str, profile: DeviceProfile = DEFAULT_MODELED_PROFILE,
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def device_topk(
-    keys: KeyVector,
-    k: int,
-    profile: DeviceProfile = DEFAULT_MODELED_PROFILE,
-    mode: str = KEY_ONLY,
-    payload_bytes: Optional[int] = None,
-    device=None,
-) -> DeviceCallResult:
-    dev = device if device is not None else ModeledDevice(profile)
-    return dev.topk(keys, k, mode=mode, payload_bytes=payload_bytes)
-
-
-def device_probe(
-    build: KeyVector,
-    probe: KeyVector,
-    profile: DeviceProfile = DEFAULT_MODELED_PROFILE,
-    mode: str = KEY_ONLY,
-    payload_bytes: Optional[int] = None,
-    device=None,
-) -> DeviceCallResult:
-    dev = device if device is not None else ModeledDevice(profile)
-    return dev.probe(build, probe, mode=mode, payload_bytes=payload_bytes)
+# The fits below minimise relative residuals, sum(((fit - y) / y) ** 2), so a
+# phase is predicted as well at the smallest size as at the largest; absolute
+# least squares lets the largest size's seconds decide alone. Samples whose
+# time is not positive carry no relative error and are left out.
 
 
 def _origin_slope(x: np.ndarray, y: np.ndarray) -> float:
-    denom = float(np.dot(x, x))
+    """Relative least-squares slope of y = slope * x; 0.0 when nothing is usable."""
+    u = x[y > 0.0] / y[y > 0.0]
+    denom = float(np.dot(u, u))
     if denom == 0.0:
         return 0.0
-    return float(np.dot(x, y)) / denom
+    return float(u.sum()) / denom
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    xbar = float(x.mean())
-    ybar = float(y.mean())
-    dx = x - xbar
-    denom = float(np.dot(dx, dx))
-    if denom == 0.0:
+    """Relative least-squares (slope, intercept) of y = slope * x + intercept.
+
+    Both coefficients are kept non-negative: when the free fit gives a
+    negative one, the better of the two one-coefficient fits is used.
+    """
+    keep = y > 0.0
+    if len(np.unique(x[keep])) < 2:
         raise CalibrationError("degenerate fit: all sample sizes are equal")
-    slope = float(np.dot(dx, y - ybar)) / denom
-    return slope, ybar - slope * xbar
+    u, v = x[keep] / y[keep], 1.0 / y[keep]
+    suu, suv, svv = float(np.dot(u, u)), float(np.dot(u, v)), float(np.dot(v, v))
+    su, sv = float(u.sum()), float(v.sum())
+    det = suu * svv - suv * suv
+    slope, intercept = (su * svv - sv * suv) / det, (sv * suu - su * suv) / det
+    if slope >= 0.0 and intercept >= 0.0:
+        return slope, intercept
+
+    def loss(fit: tuple[float, float]) -> float:
+        return float(np.sum((fit[0] * u + fit[1] * v - 1.0) ** 2))
+
+    return min(((su / suu, 0.0), (0.0, sv / svv)), key=loss)
 
 
 def calibrate_profile(
@@ -497,12 +552,12 @@ def calibrate_profile(
     samples: (n, ledger) pairs where n is the element count the kernel saw
     (both sides combined for probes). Needs >= 3 distinct n. Bandwidths come
     from through-origin fits of bytes against time, launch and kernel rate
-    from an ordinary fit of t_kernel against n, post rate from returned rows
-    against t_post. kernel_rate_probe falls back to kernel_rate_topk when no
+    from a non-negative line fit of t_kernel against n, post rate from
+    returned rows against t_post; every fit weighs residuals relative to the
+    measured time. kernel_rate_probe falls back to kernel_rate_topk when no
     probe samples are given (and vice versa).
     """
-    if op not in (OP_TOPK, OP_PROBE):
-        raise ValueError(f"unknown op {op!r}")
+    spec = op_spec(op, on_device=True)
     if len({int(n) for n, _ in samples}) < 3:
         raise CalibrationError("calibration needs at least 3 distinct n values")
 
@@ -527,28 +582,23 @@ def calibrate_profile(
     rate = max(rate, _TINY_RATE)
     launch = max(launch, _TINY_RATE)
 
-    per_row = 2 * ROW_ID_BYTES if op == OP_PROBE else ROW_ID_BYTES
-    rows = d2h_b / per_row
+    rows = d2h_b / spec.returned_row_bytes
     post_rate = max(_origin_slope(rows, t_post), _TINY_RATE)
 
     if probe_samples:
         pn = np.array([float(n) for n, _ in probe_samples])
         pk = np.array([led.t_kernel for _, led in probe_samples])
-        probe_rate, _ = _line_fit(pn, pk)
-        probe_rate = max(probe_rate, _TINY_RATE)
+        other_rate, _ = _line_fit(pn, pk)
+        other_rate = max(other_rate, _TINY_RATE)
     else:
-        probe_rate = rate
-
-    if op == OP_TOPK:
-        kernel_rate_topk, kernel_rate_probe = rate, probe_rate
-    else:
-        kernel_rate_topk, kernel_rate_probe = probe_rate, rate
+        other_rate = rate
+    kernel_rates = {s.kernel_rate: other_rate for s in OPS.values() if s.kernel_rate}
+    kernel_rates[spec.kernel_rate] = rate
 
     return DeviceProfile(
         h2d_bandwidth=h2d_bw,
         d2h_bandwidth=d2h_bw,
         launch_overhead=launch,
-        kernel_rate_topk=kernel_rate_topk,
-        kernel_rate_probe=kernel_rate_probe,
         post_rate=post_rate,
+        **kernel_rates,
     )

@@ -9,29 +9,28 @@ decision record keeps both estimates so a sweep can be audited offline.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
-from .device import (
+from .device import (  # the OP_* names are re-exported for the gate's callers
     DEFAULT_MODELED_PROFILE,
     KEY_ONLY,
     MODES,
+    OP_FULL_SORT,
     OP_PROBE,
     OP_TOPK,
     DeviceProfile,
     ModeledDevice,
+    OpSpec,
     estimate_device_cost,
+    op_spec,
 )
 from .errors import CalibrationError
 from .host import host_hash_build, host_hash_probe, host_topk
-from .store import ColumnTable, extract_keys, materialize
+from .store import extract_keys, materialize
 
 HOST = "host"
 DEVICE = "device"
-
-OP_FULL_SORT = "full_sort"
-_SORT_FAMILY = (OP_TOPK, OP_FULL_SORT)
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,7 @@ class CpuCostModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CpuCostModel":
-        return cls(**{k: float(obj[k]) for k in (
-            "alpha_sort", "beta_sort", "alpha_match", "beta_match")})
+        return cls(**{f.name: float(obj[f.name]) for f in fields(cls)})
 
 
 # Paired with DEFAULT_MODELED_PROFILE; see that constant for the regime the
@@ -122,11 +120,10 @@ class GateDecision:
 def estimate_cpu_cost(model: CpuCostModel, op: str, n: int, k: int = 1) -> float:
     if n < 0:
         raise ValueError("n must be non-negative")
-    if op in _SORT_FAMILY:
-        return model.alpha_sort * n * math.log2(max(n, 2)) + model.beta_sort
-    if op == OP_PROBE:
-        return model.alpha_match * n * k + model.beta_match
-    raise ValueError(f"unknown op {op!r}")
+    spec = op_spec(op)
+    alpha = getattr(model, f"alpha_{spec.cpu_family}")
+    beta = getattr(model, f"beta_{spec.cpu_family}")
+    return alpha * n * spec.row_factor(n, k) + beta
 
 
 def decide(
@@ -141,12 +138,12 @@ def decide(
 
     For probes, n is the probe-side row count (the cpu model's input) and
     build_n the build side, so the device estimate covers both transfers.
+    Single-table ops have no build side.
     """
     guard = config.min_n_guard is not None and n < config.min_n_guard
     c_cpu = estimate_cpu_cost(config.cpu_model, op, n, k)
-    device_n = n + build_n if op == OP_PROBE else n
     c_gpu = estimate_device_cost(
-        op, device_n, k, config.mode, payload_bytes, config.profile
+        op, n + build_n, k, config.mode, payload_bytes, config.profile
     ).total
     gain = c_cpu - c_gpu
     path = DEVICE if (not guard and gain > config.margin_s) else HOST
@@ -160,42 +157,24 @@ def decide(
     )
 
 
-def _wall() -> float:
-    return time.perf_counter_ns() / 1e9
-
-
 def execute_path(tables, op: str, k: int, config: GateConfig, device, path: str):
     """Run one query down a fixed path; returns (result, observed_latency).
 
-    The modeled backend reports virtual time (the cost model for the host
-    path, the call ledger for the device path); any other backend is
-    wall-clock timed end to end, late materialization included.
+    The device's clock times the query. A virtual clock reports the call
+    ledger for the device path and the cost model for the host path; a wall
+    clock times the query end to end, late materialization included.
     """
-    modeled = getattr(device, "name", None) == "modeled"
-    if modeled:
-        result, ledger_total, n, _ = _run_query(tables, op, k, config, device, path)
-        if path == DEVICE:
-            return result, ledger_total
-        return result, estimate_cpu_cost(config.cpu_model, op, n, k)
-    t0 = _wall()
-    result, _, _, _ = _run_query(tables, op, k, config, device, path)
-    return result, _wall() - t0
+    spec = op_spec(op, on_device=True)
+    n = spec.shape(tables)[0]
+    return device.timed(
+        lambda: _run_query(tables, spec, k, config, device, path),
+        estimate_cpu_cost(config.cpu_model, op, n, k),
+    )
 
 
-def _run_query(tables, op: str, k: int, config: GateConfig, device, path: str):
-    if op == OP_TOPK:
-        table: ColumnTable = tables
-        keys = extract_keys(table)
-        if path == DEVICE:
-            call = device.topk(keys, k, mode=config.mode, payload_bytes=table.payload_bytes)
-            rows = call.payload.rows
-            ledger_total = call.ledger.total
-        else:
-            rows = host_topk(keys, k).rows
-            ledger_total = None
-        result = materialize(table, rows)
-        return result, ledger_total, table.row_count, 0
-    if op == OP_PROBE:
+def _run_query(tables, spec: OpSpec, k: int, config: GateConfig, device, path: str):
+    """(result, ledger) of one query; the host path keeps no ledger."""
+    if spec.joins:
         build_table, probe_table = tables
         build_keys = extract_keys(build_table)
         probe_keys = extract_keys(probe_table)
@@ -204,30 +183,22 @@ def _run_query(tables, op: str, k: int, config: GateConfig, device, path: str):
                 build_keys, probe_keys,
                 mode=config.mode, payload_bytes=probe_table.payload_bytes,
             )
-            result = call.payload
-            ledger_total = call.ledger.total
-        else:
-            result = host_hash_probe(host_hash_build(build_keys), probe_keys)
-            ledger_total = None
-        return result, ledger_total, probe_table.row_count, build_table.row_count
-    raise ValueError(f"unknown op {op!r}")
+            return call.payload, call.ledger
+        return host_hash_probe(host_hash_build(build_keys), probe_keys), None
+    keys = extract_keys(tables)
+    if path == DEVICE:
+        call = device.topk(keys, k, mode=config.mode, payload_bytes=tables.payload_bytes)
+        rows, ledger = call.payload.rows, call.ledger
+    else:
+        rows, ledger = host_topk(keys, k).rows, None
+    return materialize(tables, rows), ledger
 
 
 def execute_gated(tables, op: str, k: int, config: GateConfig, device=None):
     """Decide, then run the chosen path; returns (result, decision, latency)."""
     if device is None:
         device = ModeledDevice(config.profile)
-    if op == OP_TOPK:
-        n = tables.row_count
-        build_n = 0
-        payload_bytes = tables.payload_bytes
-    elif op == OP_PROBE:
-        build_table, probe_table = tables
-        n = probe_table.row_count
-        build_n = build_table.row_count
-        payload_bytes = probe_table.payload_bytes
-    else:
-        raise ValueError(f"unknown op {op!r}")
+    n, build_n, payload_bytes = op_spec(op).shape(tables)
     decision = decide(config, op, n, k, payload_bytes, build_n)
     result, observed = execute_path(tables, op, k, config, device, decision.path)
     return result, decision, observed
@@ -260,39 +231,25 @@ def calibrate_cpu_model(samples: Sequence[tuple]) -> CpuCostModel:
     Each op family present needs at least 3 distinct n. Coefficients are
     clamped at zero; a calibration where nothing grows is rejected.
     """
-    sort_pts: list[tuple[float, float]] = []
-    match_pts: list[tuple[float, float]] = []
-    sort_ns: set[int] = set()
-    match_ns: set[int] = set()
+    by_family: dict[str, list[tuple[float, float, float]]] = {}
     for op, n, k, seconds in samples:
-        if op in _SORT_FAMILY:
-            sort_pts.append((n * math.log2(max(n, 2)), seconds))
-            sort_ns.add(int(n))
-        elif op == OP_PROBE:
-            match_pts.append((float(n) * k, seconds))
-            match_ns.add(int(n))
-        else:
-            raise ValueError(f"unknown op {op!r}")
-
-    alpha_sort = beta_sort = alpha_match = beta_match = 0.0
-    if sort_pts:
-        if len(sort_ns) < 3:
-            raise CalibrationError("sort-family calibration needs >= 3 distinct n")
-        alpha_sort, beta_sort = _nonneg_line_fit(*zip(*sort_pts))
-    if match_pts:
-        if len(match_ns) < 3:
-            raise CalibrationError("match-family calibration needs >= 3 distinct n")
-        alpha_match, beta_match = _nonneg_line_fit(*zip(*match_pts))
-    if not sort_pts and not match_pts:
+        spec = op_spec(op)
+        by_family.setdefault(spec.cpu_family, []).append(
+            (n, float(n) * spec.row_factor(n, k), seconds)
+        )
+    if not by_family:
         raise CalibrationError("no calibration samples")
-    if alpha_sort == 0.0 and alpha_match == 0.0:
+    coefficients = {f.name: 0.0 for f in fields(CpuCostModel)}
+    for family, points in by_family.items():
+        if len({int(n) for n, _, _ in points}) < 3:
+            raise CalibrationError(f"{family}-family calibration needs >= 3 distinct n")
+        coefficients[f"alpha_{family}"], coefficients[f"beta_{family}"] = _nonneg_line_fit(
+            [x for _, x, _ in points], [y for _, _, y in points]
+        )
+    model = CpuCostModel(**coefficients)
+    if model.alpha_sort == 0.0 and model.alpha_match == 0.0:
         raise CalibrationError("calibration found no growth in either op family")
-    return CpuCostModel(
-        alpha_sort=alpha_sort,
-        beta_sort=beta_sort,
-        alpha_match=alpha_match,
-        beta_match=beta_match,
-    )
+    return model
 
 
 def with_margin(config: GateConfig, margin_s: float) -> GateConfig:

@@ -33,12 +33,13 @@ import numpy as np
 
 from .breakeven import BreakEven, FitResult
 from .device import (
-    DEFAULT_MODELED_PROFILE,
     FULL_ROW,
     KEY_ONLY,
     OP_TOPK,
     ModeledDevice,
+    TransferLedger,
     estimate_device_cost,
+    wall_clock,
 )
 from .errors import StrategyMismatchError
 from .gate import (
@@ -57,6 +58,7 @@ from .gate import (
 from .host import host_full_sort, host_topk, mix64
 from .store import (
     DEFAULT_PAYLOAD_BYTES,
+    MASK64,
     ColumnTable,
     generate_table,
     random_key_vector,
@@ -76,7 +78,6 @@ WARMUP_RUNS = 1
 DEFAULT_MARGINS = (0.0, 5e-3, 10e-3)
 
 _TIMER_TARGET = 1e-6
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -221,39 +222,37 @@ def effective_repeats(repeats: int) -> int:
     return repeats * min(math.ceil(res / _TIMER_TARGET), 64)
 
 
-def _wall() -> float:
-    return time.perf_counter_ns() / 1e9
-
-
 def query_sizes(spec: WorkloadSpec) -> list[int]:
     """The query sequence: grid x repeats, or seeded draws from the mix."""
     if spec.mix is None:
         return [n for n in spec.n_grid for _ in range(spec.repeats)]
-    rng = np.random.Generator(np.random.PCG64(spec.seed & _MASK64))
+    rng = np.random.Generator(np.random.PCG64(spec.seed & MASK64))
     count = spec.repeats * len(spec.n_grid)
     draws = rng.choice(np.asarray(spec.n_grid, dtype=np.int64), size=count, p=spec.mix)
     return [int(x) for x in draws]
 
 
 def _table_seed(spec_seed: int, n: int) -> int:
-    return (spec_seed ^ mix64(n)) & _MASK64
+    return (spec_seed ^ mix64(n)) & MASK64
 
 
 def run_scaling_baseline(
     spec: WorkloadSpec,
-    backend: str = "modeled",
+    device=None,
     cpu_model=None,
 ) -> list[ScalingRow]:
     """Host engine cost per n for full_sort and topk (fig3 rows).
 
-    The modeled backend reports cost-model values (both ops share the
-    sort-family curve, and the numbers are reproducible bit for bit); any
-    other backend wall-clock times the real host primitives, discarding one
-    warmup run per cell.
+    On a virtual clock the rows are cost-model values (both ops share the
+    sort-family curve, and the numbers are reproducible bit for bit) and no
+    host primitive runs; on a wall clock the real host primitives are timed,
+    discarding one warmup run per cell.
     """
+    if device is None:
+        device = ModeledDevice()
     model = cpu_model if cpu_model is not None else DEFAULT_CPU_MODEL
     rows: list[ScalingRow] = []
-    if backend == "modeled":
+    if device.virtual_clock:
         for n in spec.n_grid:
             for op in (OP_FULL_SORT, OP_TOPK):
                 v = estimate_cpu_cost(model, op, n, spec.k)
@@ -263,18 +262,17 @@ def run_scaling_baseline(
     reps = effective_repeats(spec.repeats)
     for n in spec.n_grid:
         kv = random_key_vector(n, _table_seed(spec.seed, n))
-        for op in (OP_FULL_SORT, OP_TOPK):
-            if op == OP_FULL_SORT:
-                run = lambda: host_full_sort(kv)
-            else:
-                run = lambda: host_topk(kv, spec.k)
+        for op, run in (
+            (OP_FULL_SORT, lambda: host_full_sort(kv)),
+            (OP_TOPK, lambda: host_topk(kv, spec.k)),
+        ):
             for _ in range(WARMUP_RUNS):
                 run()
             samples = []
             for _ in range(reps):
-                t0 = _wall()
+                t0 = wall_clock()
                 run()
-                samples.append(_wall() - t0)
+                samples.append(wall_clock() - t0)
             stats = compute_stats(samples)
             rows.append(ScalingRow(n, op, stats.median, stats.p95))
     return rows
@@ -285,13 +283,12 @@ class PayloadComparison:
     payload_rows: list[PayloadRow]
     transfer_rows: list[TransferRow]
     e2e_rows: list[E2eRow]
+    # (n, ledger) of every key-only call: what a measured run calibrates
+    # its device profile from
+    key_only_ledgers: list[tuple[int, TransferLedger]]
 
 
-def run_payload_comparison(
-    spec: WorkloadSpec,
-    device=None,
-    profile=DEFAULT_MODELED_PROFILE,
-) -> PayloadComparison:
+def run_payload_comparison(spec: WorkloadSpec, device=None) -> PayloadComparison:
     """Full-row vs key-only Top-K offload per n (fig4, fig6, fig7 rows).
 
     Byte columns come from the ledger and are exact under every backend;
@@ -301,10 +298,11 @@ def run_payload_comparison(
     materialization is the t_post phase).
     """
     if device is None:
-        device = ModeledDevice(profile)
+        device = ModeledDevice()
     payload_rows: list[PayloadRow] = []
     transfer_rows: list[TransferRow] = []
     e2e_rows: list[E2eRow] = []
+    key_only_ledgers: list[tuple[int, TransferLedger]] = []
     for n in spec.n_grid:
         kv = random_key_vector(n, _table_seed(spec.seed, n))
         ledgers = {}
@@ -322,7 +320,8 @@ def run_payload_comparison(
         key_e2e = ledgers[KEY_ONLY].total
         e2e_rows.append(E2eRow(n, FULL_ROW, full_e2e, 1.0))
         e2e_rows.append(E2eRow(n, KEY_ONLY, key_e2e, full_e2e / key_e2e))
-    return PayloadComparison(payload_rows, transfer_rows, e2e_rows)
+        key_only_ledgers.append((n, ledgers[KEY_ONLY]))
+    return PayloadComparison(payload_rows, transfer_rows, e2e_rows, key_only_ledgers)
 
 
 def _fingerprint(result) -> tuple:
@@ -336,102 +335,73 @@ def run_strategy_comparison(
     spec: WorkloadSpec,
     config: GateConfig,
     device=None,
-    tables: Optional[dict[int, ColumnTable]] = None,
 ) -> tuple[StrategyRun, StrategyRun, StrategyRun]:
     """One identical Top-K query stream under host_only, device_always, gated.
 
     Every strategy answers the same seeded query sequence; per-n answers are
     checked for equality across strategies before any latency is reported,
-    and a mismatch aborts the run. Under the modeled backend each distinct n
-    executes once per strategy (the virtual clock makes further repeats
-    identical); other backends execute and time every query, discarding the
-    first run per (n, strategy) cell as warmup.
+    and a mismatch aborts the run. On a virtual clock each distinct n
+    executes once per strategy (further repeats would report the same
+    latency); on a wall clock every query executes and is timed, after one
+    discarded warmup run per (n, strategy) cell.
     """
     if device is None:
         device = ModeledDevice(config.profile)
-    modeled = getattr(device, "name", "") == "modeled"
     sizes = query_sizes(spec)
-    if tables is None:
-        tables = {}
-    for n in spec.n_grid:
-        if n not in tables:
-            tables[n] = generate_table(n, spec.payload_bytes, seed=_table_seed(spec.seed, n))
+    tables = {
+        n: generate_table(n, spec.payload_bytes, seed=_table_seed(spec.seed, n))
+        for n in spec.n_grid
+    }
 
-    fingerprints: dict[int, tuple] = {}
-    first_strategy: dict[int, str] = {}
+    first_answers: dict[int, tuple[str, tuple]] = {}
     runs: list[StrategyRun] = []
     for strategy in STRATEGIES:
-        latency_at: dict[int, float] = {}
-        decision_at: dict[int, GateDecision] = {}
         per_n_samples: dict[int, list[float]] = {n: [] for n in spec.n_grid}
         decisions: list[GateDecision] = []
+        last: dict[int, tuple[float, str, Optional[GateDecision]]] = {}
         offloaded = 0
-
-        if modeled:
-            # one real execution per distinct n; the virtual clock would
-            # report the same latency for every repeat anyway
-            for n in spec.n_grid:
-                result, latency, decision = _run_one(tables[n], spec.k, config, device, strategy)
-                _check_result(fingerprints, first_strategy, strategy, n, result)
-                latency_at[n] = latency
-                if decision is not None:
-                    decision_at[n] = decision
-            for n in sizes:
-                per_n_samples[n].append(latency_at[n])
-                decision = decision_at.get(n)
-                if decision is not None:
-                    decisions.append(decision)
-                    if decision.path == DEVICE:
-                        offloaded += 1
-        else:
-            warmed: set[int] = set()
-            for n in sizes:
-                if n not in warmed:
-                    _run_one(tables[n], spec.k, config, device, strategy)
-                    warmed.add(n)
-                result, latency, decision = _run_one(tables[n], spec.k, config, device, strategy)
-                _check_result(fingerprints, first_strategy, strategy, n, result)
-                per_n_samples[n].append(latency)
-                if decision is not None:
-                    decisions.append(decision)
-                    if decision.path == DEVICE:
-                        offloaded += 1
+        measured = not device.virtual_clock
+        for n in sizes:
+            if n not in last or measured:
+                if n not in last and measured:
+                    _run_one(tables[n], spec.k, config, device, strategy)  # warmup
+                result, latency, path, decision = _run_one(tables[n], spec.k, config, device, strategy)
+                _check_result(first_answers, strategy, n, result)
+                last[n] = (latency, path, decision)
+            latency, path, decision = last[n]
+            per_n_samples[n].append(latency)
+            offloaded += path == DEVICE
+            if decision is not None:
+                decisions.append(decision)
 
         per_n = {n: compute_stats(s) for n, s in per_n_samples.items() if s}
-        if strategy == HOST_ONLY:
-            offload_rate = 0.0
-        elif strategy == DEVICE_ALWAYS:
-            offload_rate = 1.0
-        else:
-            offload_rate = offloaded / len(sizes) if sizes else 0.0
         runs.append(StrategyRun(
             strategy=strategy,
             per_n=per_n,
-            offload_rate=offload_rate,
+            offload_rate=offloaded / len(sizes),
             decisions=tuple(decisions),
         ))
     return tuple(runs)
 
 
 def _run_one(table: ColumnTable, k: int, config: GateConfig, device, strategy: str):
+    """(result, latency, path, decision) of one query; a fixed path decides nothing."""
     if strategy == GATED:
         result, decision, latency = execute_gated(table, OP_TOPK, k, config, device)
-        return result, latency, decision
+        return result, latency, decision.path, decision
     path = HOST if strategy == HOST_ONLY else DEVICE
     result, latency = execute_path(table, OP_TOPK, k, config, device, path)
-    return result, latency, None
+    return result, latency, path, None
 
 
-def _check_result(fingerprints, first_strategy, strategy: str, n: int, result) -> None:
+def _check_result(first_answers: dict, strategy: str, n: int, result) -> None:
+    """Records the first strategy's answer per n; a later different one aborts."""
     fp = _fingerprint(result)
-    if n not in fingerprints:
-        fingerprints[n] = fp
-        first_strategy[n] = strategy
-        return
-    if fingerprints[n] != fp:
+    first_strategy, first_fp = first_answers.setdefault(n, (strategy, fp))
+    if first_fp != fp:
         raise StrategyMismatchError(
             f"answers diverge at n={n}: strategy {strategy!r} disagrees "
-            f"with {first_strategy[n]!r}"
+            f"with {first_strategy!r}"
         )
 
 

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .store import DEFAULT_MEMORY_BUDGET, KeyVector
+from .store import DEFAULT_MEMORY_BUDGET, MASK64, KeyVector
 
 ROW_EMPTY = np.uint32(0xFFFFFFFF)  # rowids cap at 2**32 - 2, so this slot value means "free"
 
 _U64 = np.uint64
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass
@@ -71,11 +70,11 @@ def mix64_array(bits: np.ndarray) -> np.ndarray:
 
 
 def mix64(bits: int) -> int:
-    z = bits & _MASK64
+    z = bits & MASK64
     z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z = (z * 0xBF58476D1CE4E5B9) & MASK64
     z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
+    z = (z * 0x94D049BB133111EB) & MASK64
     z ^= z >> 31
     return z
 

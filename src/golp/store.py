@@ -14,7 +14,7 @@ float64 and the payload column as raw bytes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ KEY_ENTRY_BYTES = KEY_BYTES + ROW_ID_BYTES
 MAX_ROWS = 2**32 - 1
 DEFAULT_PAYLOAD_BYTES = 188
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
+MASK64 = (1 << 64) - 1
 
 TABLE_MAGIC = b"GOLP"
 TABLE_VERSION = 1
@@ -79,8 +80,6 @@ class KeyVector:
     keys: np.ndarray
     rows: np.ndarray
 
-    bytes_per_entry = KEY_ENTRY_BYTES
-
     def __post_init__(self) -> None:
         keys = np.ascontiguousarray(self.keys, dtype=np.float64)
         rows = np.ascontiguousarray(self.rows, dtype=np.uint32)
@@ -94,23 +93,6 @@ class KeyVector:
     def __len__(self) -> int:
         return len(self.keys)
 
-    @property
-    def source_rows(self) -> int:
-        return len(self.keys)
-
-    @property
-    def serialized_size(self) -> int:
-        return KEY_ENTRY_BYTES * len(self.keys)
-
-    def to_bytes(self) -> bytes:
-        packed = np.empty(len(self.keys), dtype=[("key", "<f8"), ("row", "<u4")])
-        packed["key"] = self.keys
-        packed["row"] = self.rows
-        return packed.tobytes()
-
-    def entries(self) -> list[tuple[float, int]]:
-        return [(float(k), int(r)) for k, r in zip(self.keys, self.rows)]
-
 
 @dataclass
 class MaterializedResult:
@@ -119,7 +101,6 @@ class MaterializedResult:
     row_ids: np.ndarray
     keys: np.ndarray
     payloads: np.ndarray
-    column_set: tuple[str, ...] = field(default=("key", "payload"))
 
     def __len__(self) -> int:
         return len(self.row_ids)
@@ -129,7 +110,7 @@ class MaterializedResult:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed & (2**64 - 1)))
+    return np.random.Generator(np.random.PCG64(seed & MASK64))
 
 
 def generate_table(
@@ -217,7 +198,7 @@ def save_table(table: ColumnTable, path) -> None:
         TABLE_VERSION,
         table.row_count,
         table.payload_bytes,
-        table.seed & (2**64 - 1),
+        table.seed & MASK64,
     )
     with open(path, "wb") as fh:
         fh.write(header)

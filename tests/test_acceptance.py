@@ -177,7 +177,8 @@ def test_criterion_03_solved_crossover_matches_the_sweep(tmp_path, capsys):
 def test_criterion_04_measured_curves_fit_their_bases():
     t0 = time.perf_counter()
     spec = WorkloadSpec(n_grid=(10_000, 50_000, 100_000, 500_000, 1_000_000), repeats=31)
-    scaling = run_scaling_baseline(spec, backend="proxy")
+    with ProxyDevice(workers=1) as device:
+        scaling = run_scaling_baseline(spec, device)
     cpu_pts = [(float(r.n), r.median_s) for r in scaling if r.op == "full_sort"]
     _, _, _, r2_cpu = fit_nlogn(cpu_pts)
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, config precedence."""
 
+import hashlib
 import json
 import math
 
@@ -94,6 +95,32 @@ def test_modeled_bench_is_byte_identical_across_runs(tmp_path):
     assert run_cli("bench", "--config", cfg, "--out", tmp_path / "r2") == 0
     for name in EXPORTED_FILES:
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
+# sha256 of every file `golp bench --backend modeled` writes for GOLDEN_WORKLOAD.
+# Reruns are compared with each other elsewhere; these digests also catch a
+# change to the code that moves a figure. Only a deliberate change to a cost
+# model or an output format should update them.
+GOLDEN_WORKLOAD = {"n_grid": [1_000, 10_000, 100_000, 200_000], "repeats": 3, "payload_bytes": 16}
+GOLDEN_SHA256 = {
+    "fig1_guard.csv": "0aa71796f675fea13499d901dfd5333532a9519ff338f0d72952157a3d9c6ba8",
+    "fig2_margin.csv": "b3ff24c99582c7a2ec07b0752323b03ab4d393bdeaa96c6956d5ebdf9ec9588e",
+    "fig3_scaling.csv": "b3fc997801a7223a0389c1bc91c4c5662b9d570b37fbc891539759d0270c38b1",
+    "fig4_payload.csv": "5c4ebf8ed5769e1f89b025cd60e3445ad467d1dd60be9bdd2a1cbc5cf01cecbd",
+    "fig5_breakeven.csv": "88962139455f03d53102da20e692f258fdf2ff1927ef750cb7c73c3bd534b50a",
+    "fig6_transfer.csv": "df8718a069a804da2a5421b06f951649a100f53e170ca9cd54b5873841ca79e8",
+    "fig7_e2e.csv": "a1d6fddf7d25381742188bd3d948f090ac4e61c32d086103b7cd4edbdca04cb6",
+    "summary.json": "7325d7b34b8c0d8f76d063739d0c6d5d9ef64a2e30c9404026f3aeec83ed3858",
+}
+
+
+def test_modeled_bench_matches_recorded_digests(tmp_path):
+    cfg = write_config(tmp_path, workload=GOLDEN_WORKLOAD)
+    out = tmp_path / "golden"
+    assert run_cli("bench", "--config", cfg, "--backend", "modeled", "--out", out) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(GOLDEN_SHA256)
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_bench_rejects_bad_workload_config(tmp_path):

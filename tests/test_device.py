@@ -16,8 +16,6 @@ from golp.device import (
     ProxyDevice,
     TransferLedger,
     calibrate_profile,
-    device_probe,
-    device_topk,
     estimate_device_cost,
     make_device,
     transfer_entry_bytes,
@@ -75,7 +73,7 @@ def test_entry_bytes():
 
 
 def test_topk_ledger_byte_accounting():
-    res = device_topk(random_key_vector(20_000, 7), 100)
+    res = ModeledDevice().topk(random_key_vector(20_000, 7), 100)
     assert res.ledger.h2d_bytes == 12 * 20_000
     assert res.ledger.d2h_bytes == 4 * 100
 
@@ -83,7 +81,7 @@ def test_topk_ledger_byte_accounting():
 def test_probe_ledger_byte_accounting():
     build = small_domain_keys(1_000, 1)
     probe = small_domain_keys(1_000, 2)
-    res = device_probe(build, probe)
+    res = ModeledDevice().probe(build, probe)
     assert res.ledger.h2d_bytes == 12 * 2_000
     matches = host_hash_probe(host_hash_build(build), probe).match_count
     assert res.ledger.d2h_bytes == 8 * matches
@@ -97,21 +95,21 @@ def test_full_row_to_key_only_byte_ratio():
 
 
 def test_probe_with_no_matches_returns_no_bytes():
-    res = device_probe(kv([1.0, 2.0]), kv([5.0, 6.0]))
+    res = ModeledDevice().probe(kv([1.0, 2.0]), kv([5.0, 6.0]))
     assert res.payload.match_count == 0
     assert res.ledger.d2h_bytes == 0
     assert res.ledger.t_post == 0.0
 
 
 def test_empty_input_costs_only_the_launch():
-    res = device_topk(kv([]), 100, profile=EXAMPLE_PROFILE)
+    res = ModeledDevice(EXAMPLE_PROFILE).topk(kv([]), 100)
     assert res.ledger.total == EXAMPLE_PROFILE.launch_overhead
     assert len(res.payload.rows) == 0
 
 
 def test_modeled_ledger_equals_estimate():
     for n in (1, 99, 20_000):
-        res = device_topk(random_key_vector(n, n), 100)
+        res = ModeledDevice().topk(random_key_vector(n, n), 100)
         est = estimate_device_cost(OP_TOPK, n, 100)
         assert res.ledger.total == est.total
         assert (res.ledger.t_h2d, res.ledger.t_kernel, res.ledger.t_d2h, res.ledger.t_post) == (
@@ -137,8 +135,8 @@ def test_full_row_never_cheaper_than_key_only():
 
 def test_modeled_calls_are_bit_identical():
     keys = random_key_vector(5_000, 3)
-    a = device_topk(keys, 50)
-    b = device_topk(keys, 50)
+    a = ModeledDevice().topk(keys, 50)
+    b = ModeledDevice().topk(keys, 50)
     assert a.ledger == b.ledger
     assert np.array_equal(a.payload.rows, b.payload.rows)
 
@@ -161,6 +159,23 @@ def test_make_device_dispatch():
         proxy.close()
     with pytest.raises(ValueError):
         make_device("fpga")
+
+
+def test_proxy_device_closes_its_pool_when_the_block_ends_or_raises():
+    with ProxyDevice(workers=2) as dev:
+        pool = dev._pool
+        assert dev.topk(random_key_vector(10_000, 1), 10).ledger.h2d_bytes == 12 * 10_000
+    assert dev._pool is None
+    with pytest.raises(RuntimeError):  # a shut-down executor takes no work
+        pool.submit(int)
+
+    with pytest.raises(KeyError):
+        with ProxyDevice(workers=2) as dev:
+            pool = dev._pool
+            raise KeyError("fails inside the block")
+    assert dev._pool is None
+    with pytest.raises(RuntimeError):
+        pool.submit(int)
 
 
 # --- proxy backend ----------------------------------------------------------
@@ -210,7 +225,7 @@ def test_proxy_and_modeled_account_identical_bytes():
         proxy = dev.topk(keys, 100)
     finally:
         dev.close()
-    modeled = device_topk(keys, 100)
+    modeled = ModeledDevice().topk(keys, 100)
     assert proxy.ledger.h2d_bytes == modeled.ledger.h2d_bytes
     assert proxy.ledger.d2h_bytes == modeled.ledger.d2h_bytes
 
@@ -295,6 +310,43 @@ def test_calibrate_profile_from_probe_family():
         DEFAULT_MODELED_PROFILE.kernel_rate_probe, rel=1e-9
     )
     assert fitted.post_rate == pytest.approx(DEFAULT_MODELED_PROFILE.post_rate, rel=1e-9)
+
+
+def with_kernel_times(samples, t_kernel):
+    return [
+        (n, TransferLedger.build(led.h2d_bytes, led.d2h_bytes, led.t_h2d, t, led.t_d2h, led.t_post))
+        for (n, led), t in zip(samples, t_kernel)
+    ]
+
+
+def test_calibrate_profile_fits_kernel_times_by_relative_error():
+    ns = [100_000, 500_000, 1_000_000]
+    # kernel times that grow faster than n, as measured on a proxy device
+    t = np.array([0.7e-3, 2.2e-3, 5.8e-3])
+    fitted = calibrate_profile(with_kernel_times(modeled_topk_samples(ns), t))
+    # oracle: ordinary least squares on each row divided by its own time
+    n = np.array(ns, dtype=np.float64)
+    (rate, launch), *_ = np.linalg.lstsq(np.stack([n / t, 1 / t], axis=1), np.ones(3), rcond=None)
+    assert launch > 0.0
+    assert fitted.kernel_rate_topk == pytest.approx(rate, rel=1e-9)
+    assert fitted.launch_overhead == pytest.approx(launch, rel=1e-9)
+    # the smallest size is predicted as well as the largest, not sacrificed to it
+    pred = fitted.launch_overhead + fitted.kernel_rate_topk * n
+    assert np.max(np.abs(pred - t) / t) < 0.2
+
+
+def test_calibrate_profile_keeps_launch_overhead_non_negative():
+    ns = [100_000, 500_000, 1_000_000]
+    # the free relative fit of these times has a negative intercept
+    t = np.array([0.2e-3, 4.0e-3, 9.0e-3])
+    fitted = calibrate_profile(with_kernel_times(modeled_topk_samples(ns), t))
+    n = np.array(ns, dtype=np.float64)
+    (_, free_launch), *_ = np.linalg.lstsq(np.stack([n / t, 1 / t], axis=1), np.ones(3), rcond=None)
+    assert free_launch < 0.0
+    # oracle: the best through-origin line, refitted rather than clamped
+    (rate,), *_ = np.linalg.lstsq((n / t)[:, None], np.ones(3), rcond=None)
+    assert fitted.launch_overhead <= 1e-12
+    assert fitted.kernel_rate_topk == pytest.approx(rate, rel=1e-9)
 
 
 def test_calibrate_profile_needs_three_distinct_sizes():

@@ -234,6 +234,29 @@ def test_calibrate_cpu_model_input_validation():
         calibrate_cpu_model([("scan", 10, 1, 1e-3)])
 
 
+@pytest.mark.parametrize("call", [
+    lambda op: estimate_cpu_cost(DEFAULT_CPU_MODEL, op, 1_000, 10),
+    lambda op: estimate_device_cost(op, 1_000, 10),
+    lambda op: decide(GateConfig(), op, 1_000, 10),
+    lambda op: execute_gated(generate_table(100, 4, seed=1), op, 10, GateConfig()),
+    lambda op: execute_path(generate_table(100, 4, seed=1), op, 10, GateConfig(),
+                            ModeledDevice(), HOST),
+    lambda op: calibrate_cpu_model([(op, n, 10, 1e-3 * n) for n in (10, 20, 40)]),
+], ids=["estimate_cpu_cost", "estimate_device_cost", "decide", "execute_gated",
+        "execute_path", "calibrate_cpu_model"])
+def test_unknown_op_raises_value_error(call):
+    with pytest.raises(ValueError, match="unknown op 'scan'"):
+        call("scan")
+
+
+def test_full_sort_has_no_device_path():
+    with pytest.raises(ValueError):
+        estimate_device_cost(OP_FULL_SORT, 1_000, 10)
+    with pytest.raises(ValueError):
+        execute_path(generate_table(100, 4, seed=1), OP_FULL_SORT, 10, GateConfig(),
+                     ModeledDevice(), HOST)
+
+
 def test_calibrate_cpu_model_clamps_negative_slope_to_zero():
     # decreasing sort timings (noise artifact) clamp to a flat sort model;
     # the growing match family keeps the calibration as a whole valid

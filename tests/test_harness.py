@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golp.device import FULL_ROW, KEY_ONLY, ModeledDevice, estimate_device_cost
+from golp.device import FULL_ROW, KEY_ONLY, ModeledDevice, ProxyDevice, estimate_device_cost
 from golp.errors import StrategyMismatchError
 from golp.gate import DEFAULT_CPU_MODEL, OP_FULL_SORT, OP_TOPK, GateConfig, estimate_cpu_cost
 from golp.harness import (
@@ -131,7 +131,8 @@ def test_modeled_scaling_reports_cost_model_values():
 
 def test_real_scaling_times_the_host_primitives():
     spec = WorkloadSpec(n_grid=(1_000, 2_000), repeats=3)
-    rows = run_scaling_baseline(spec, backend="proxy")
+    with ProxyDevice(workers=1) as device:
+        rows = run_scaling_baseline(spec, device)
     assert len(rows) == 4
     assert {r.op for r in rows} == {OP_FULL_SORT, OP_TOPK}
     assert all(r.median_s > 0.0 for r in rows)

@@ -1,14 +1,11 @@
 """Columnar store: generation, key extraction, materialization, dump format."""
 
-import struct
-
 import numpy as np
 import pytest
 
 from golp.errors import CapacityError
 from golp.store import (
     DEFAULT_PAYLOAD_BYTES,
-    KEY_ENTRY_BYTES,
     ColumnTable,
     KeyVector,
     extract_keys,
@@ -55,18 +52,6 @@ def test_table_shape_and_validation():
 def test_generate_respects_memory_budget():
     with pytest.raises(CapacityError):
         generate_table(1_000_000, 100, seed=0, memory_budget=1_000_000)
-
-
-def test_key_vector_is_12_bytes_per_entry():
-    kv = random_key_vector(128, 5)
-    assert kv.bytes_per_entry == KEY_ENTRY_BYTES == 12
-    assert kv.serialized_size == 12 * 128
-    raw = kv.to_bytes()
-    assert len(raw) == 12 * 128
-    # packed little-endian (f8 key, u4 row) per entry
-    k0, r0 = struct.unpack_from("<dI", raw, 0)
-    assert k0 == kv.keys[0]
-    assert r0 == kv.rows[0]
 
 
 def test_extract_keys_shares_column_and_numbers_rows():
