@@ -5,7 +5,8 @@ transfer term c*n+d plus the profile's launch/kernel/post terms. The break-even
 size n_star is where they meet; a measured sweep validates the solved value.
 
 Fits use closed-form two-parameter least squares (no linear-algebra library),
-so results are bit-reproducible across platforms.
+so results are bit-reproducible across platforms. The same non-negative line
+fit calibrates the gate's cpu model.
 """
 
 from __future__ import annotations
@@ -68,14 +69,13 @@ class BreakEven:
     relative_error: Optional[float] = None
 
 
-def _fit_on_basis(points: Sequence[tuple[float, float]], basis) -> tuple[float, float, float, float]:
-    if len(points) < 2:
-        raise CalibrationError("fit needs at least 2 points")
-    ns = [float(n) for n, _ in points]
-    if len(set(ns)) < 2:
-        raise CalibrationError("degenerate fit: all n equal")
-    xs = [basis(n) for n in ns]
-    ys = [float(s) for _, s in points]
+def fit_nonneg_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float, float]:
+    """Least squares (slope, intercept, rss, r2) of ys on {xs, 1}.
+
+    Neither coefficient goes below zero, since both are physical costs: a
+    negative slope gives the best non-negative constant, a negative intercept
+    the best line through the origin.
+    """
     m = len(xs)
     xbar = math.fsum(xs) / m
     ybar = math.fsum(ys) / m
@@ -86,9 +86,12 @@ def _fit_on_basis(points: Sequence[tuple[float, float]], basis) -> tuple[float, 
     slope = sxy / sxx
     intercept = ybar - slope * xbar
     if slope < 0.0:
-        # slope is a physical rate; clamp and keep the best constant fit
         slope = 0.0
-        intercept = ybar
+        intercept = max(0.0, ybar)
+    elif intercept < 0.0:
+        intercept = 0.0
+        sxy0 = math.fsum(x * y for x, y in zip(xs, ys))
+        slope = max(0.0, sxy0 / math.fsum(x * x for x in xs))
     rss = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
     tss = math.fsum((y - ybar) ** 2 for y in ys)
     if tss == 0.0:
@@ -98,8 +101,17 @@ def _fit_on_basis(points: Sequence[tuple[float, float]], basis) -> tuple[float, 
     return slope, intercept, rss, r2
 
 
+def _fit_on_basis(points: Sequence[tuple[float, float]], basis) -> tuple[float, float, float, float]:
+    if len(points) < 2:
+        raise CalibrationError("fit needs at least 2 points")
+    ns = [float(n) for n, _ in points]
+    if len(set(ns)) < 2:
+        raise CalibrationError("degenerate fit: all n equal")
+    return fit_nonneg_line([basis(n) for n in ns], [float(s) for _, s in points])
+
+
 def fit_nlogn(points: Sequence[tuple[float, float]]) -> tuple[float, float, float, float]:
-    """OLS of seconds on {n*log2(n), 1}. Returns (a, b, rss, r2)."""
+    """Non-negative least squares of seconds on {n*log2(n), 1}. Returns (a, b, rss, r2)."""
     for n, _ in points:
         if n < 2:
             raise CalibrationError("fit_nlogn needs all n >= 2")
@@ -107,7 +119,7 @@ def fit_nlogn(points: Sequence[tuple[float, float]]) -> tuple[float, float, floa
 
 
 def fit_linear(points: Sequence[tuple[float, float]]) -> tuple[float, float, float, float]:
-    """OLS of seconds on {n, 1}. Returns (c, d, rss, r2)."""
+    """Non-negative least squares of seconds on {n, 1}. Returns (c, d, rss, r2)."""
     return _fit_on_basis(points, lambda n: n)
 
 

@@ -138,25 +138,22 @@ def _device_terms(gate: GateConfig, k: int) -> DeviceTerms:
     )
 
 
-def _solve_with_sweep(
-    fit,
-    gate: GateConfig,
-    k: int,
-    sweep: Sequence[BreakEvenRow],
-    strict: bool,
-):
-    """Solved BreakEven with sweep validation; None on proxy no-crossing."""
+def _solve_with_sweep(fit, gate: GateConfig, k: int, sweep: Sequence[BreakEvenRow]):
+    """Solved BreakEven validated against the sweep, or None if the curves never cross.
+
+    A sweep that does not bracket a crossover leaves the solved n_star
+    unvalidated. Either reason goes to stderr: the figures are worth
+    exporting all the same.
+    """
     try:
         be = solve_break_even(fit, _device_terms(gate, k))
-    except NoCrossingError:
-        if strict:
-            raise
+    except NoCrossingError as exc:
+        print(f"warning: no n_star: {exc}", file=sys.stderr)
         return None
     try:
         measured = measured_crossover(sweep)
-    except SweepBracketError:
-        if strict:
-            raise
+    except SweepBracketError as exc:
+        print(f"warning: n_star not validated: {exc}", file=sys.stderr)
         return be
     error = abs(be.n_star - measured) / measured
     return dataclasses.replace(be, measured_n_star=measured, relative_error=error)
@@ -186,9 +183,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         strategies = run_strategy_comparison(spec, gate, device=device)
     margins = run_margin_sweep(spec, DEFAULT_MARGINS, gate)
     fit = _fit_from_runs(scaling, payload)
-    # measured constants need not cross on this hardware; the figure data is
-    # still worth exporting when they do not
-    be = _solve_with_sweep(fit, gate, spec.k, sweep, strict=device.virtual_clock)
+    be = _solve_with_sweep(fit, gate, spec.k, sweep)
 
     report = BenchReport(
         scaling_rows=list(scaling),

@@ -8,7 +8,7 @@ each of which owns the clock that times a query:
   modeled call can never change an answer. Repeated calls are bit-identical.
 * ``ProxyDevice`` stands in for real hardware: transfers are real memcpys of
   exactly the accounted bytes, the kernel is a parallel per-chunk selection
-  (or hash probe) on worker threads, and every phase is wall-clock timed.
+  (or join probe) on worker threads, and every phase is wall-clock timed.
 
 Byte counts are always computed from the call shape, never measured, so both
 backends report identical ``h2d_bytes``/``d2h_bytes`` for identical calls. A
@@ -31,14 +31,12 @@ import numpy as np
 
 from .errors import CalibrationError
 from .host import (
-    ROW_EMPTY,
     ProbeResult,
     TopKResult,
     host_hash_build,
     host_hash_probe,
     host_topk,
     key_bits,
-    mix64_array,
 )
 from .store import KEY_BYTES, KEY_ENTRY_BYTES, ROW_ID_BYTES, KeyVector
 
@@ -312,43 +310,6 @@ def _merge_topk_candidates(keys: np.ndarray, rows: np.ndarray, k: int) -> np.nda
     return rows[order[: min(k, len(keys))]].astype(np.uint32, copy=False)
 
 
-def _probe_chunk(table, bits_chunk: np.ndarray, probe_rows_chunk: np.ndarray):
-    """Vectorized linear-probing scan; match order equals the host scan."""
-    m = len(bits_chunk)
-    empty = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32))
-    if m == 0 or table.build_count == 0:
-        return empty
-    mask = table.mask
-    slot_bits = table.slot_bits
-    slot_rows = table.slot_rows
-    cur = (mix64_array(bits_chunk) & np.uint64(mask)).astype(np.intp)
-    active = np.arange(m, dtype=np.intp)
-    hits_pos: list[np.ndarray] = []
-    hits_build: list[np.ndarray] = []
-    for _ in range(table.capacity + 1):
-        srow = slot_rows[cur]
-        alive = srow != ROW_EMPTY
-        if not alive.all():
-            active = active[alive]
-            cur = cur[alive]
-            srow = srow[alive]
-            if active.size == 0:
-                break
-        hit = slot_bits[cur] == bits_chunk[active]
-        if hit.any():
-            hits_pos.append(active[hit])
-            hits_build.append(srow[hit])
-        cur = (cur + 1) & mask
-    if not hits_pos:
-        return empty
-    pos = np.concatenate(hits_pos)
-    build_rows = np.concatenate(hits_build)
-    # frames were appended in probe-distance order; a stable sort by probe
-    # position therefore yields (probe order, then build insertion order)
-    order = np.argsort(pos, kind="stable")
-    return probe_rows_chunk[pos[order]], build_rows[order]
-
-
 class ProxyDevice(_Device):
     """In-process stand-in for real hardware, wall-clock timed.
 
@@ -428,8 +389,8 @@ class ProxyDevice(_Device):
             return _chunk_topk_candidates(dev_keys[lo:hi], dev_rows[lo:hi], k)
 
         parts = self._map(select, spans)
-        cand_keys = np.concatenate([p[0] for p in parts]) if parts else np.empty(0)
-        cand_rows = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, dtype=np.uint32)
+        cand_keys = np.concatenate([p[0] for p in parts])
+        cand_rows = np.concatenate([p[1] for p in parts])
         result_rows = _merge_topk_candidates(cand_keys, cand_rows, k)
         t2 = wall_clock()
 
@@ -455,17 +416,18 @@ class ProxyDevice(_Device):
             [build, probe], mode, payload_bytes
         )
 
-        table = host_hash_build(KeyVector(keys=dev_build_keys, rows=dev_build_rows))
+        # the build runs on the calling thread; the pool threads only scan it
+        index = host_hash_build(KeyVector(keys=dev_build_keys, rows=dev_build_rows))
         bits = key_bits(dev_probe_keys)
         spans = self._chunk_bounds(len(probe), floor=4096)
 
         def scan(span):
             lo, hi = span
-            return _probe_chunk(table, bits[lo:hi], dev_probe_rows[lo:hi])
+            return index.match(bits[lo:hi], dev_probe_rows[lo:hi])
 
         parts = self._map(scan, spans)
-        probe_rows = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, dtype=np.uint32)
-        build_rows = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, dtype=np.uint32)
+        probe_rows = np.concatenate([p[0] for p in parts])
+        build_rows = np.concatenate([p[1] for p in parts])
         t2 = wall_clock()
 
         returned = (probe_rows.copy(), build_rows.copy())

@@ -8,10 +8,10 @@ decision record keeps both estimates so a sweep can be audited offline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
+from .breakeven import fit_nonneg_line
 from .device import (  # the OP_* names are re-exported for the gate's callers
     DEFAULT_MODELED_PROFILE,
     KEY_ONLY,
@@ -204,32 +204,12 @@ def execute_gated(tables, op: str, k: int, config: GateConfig, device=None):
     return result, decision, observed
 
 
-def _nonneg_line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    """OLS slope/intercept with both coefficients clamped at zero."""
-    n = len(xs)
-    xbar = math.fsum(xs) / n
-    ybar = math.fsum(ys) / n
-    sxx = math.fsum((x - xbar) ** 2 for x in xs)
-    if sxx == 0.0:
-        raise CalibrationError("degenerate design matrix: all sizes equal")
-    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = ybar - slope * xbar
-    if slope < 0.0:
-        slope = 0.0
-        intercept = max(0.0, ybar)
-    elif intercept < 0.0:
-        intercept = 0.0
-        sx2 = math.fsum(x * x for x in xs)
-        slope = max(0.0, math.fsum(x * y for x, y in zip(xs, ys)) / sx2) if sx2 else 0.0
-    return slope, intercept
-
-
 def calibrate_cpu_model(samples: Sequence[tuple]) -> CpuCostModel:
     """Least-squares cpu constants from (op, n, k, measured_seconds) samples.
 
-    Each op family present needs at least 3 distinct n. Coefficients are
-    clamped at zero; a calibration where nothing grows is rejected.
+    Each op family present needs at least 3 distinct n. Coefficients are kept
+    non-negative (breakeven.fit_nonneg_line); a calibration where nothing
+    grows is rejected.
     """
     by_family: dict[str, list[tuple[float, float, float]]] = {}
     for op, n, k, seconds in samples:
@@ -243,7 +223,7 @@ def calibrate_cpu_model(samples: Sequence[tuple]) -> CpuCostModel:
     for family, points in by_family.items():
         if len({int(n) for n, _, _ in points}) < 3:
             raise CalibrationError(f"{family}-family calibration needs >= 3 distinct n")
-        coefficients[f"alpha_{family}"], coefficients[f"beta_{family}"] = _nonneg_line_fit(
+        coefficients[f"alpha_{family}"], coefficients[f"beta_{family}"], _, _ = fit_nonneg_line(
             [x for _, x, _ in points], [y for _, _, y in points]
         )
     model = CpuCostModel(**coefficients)

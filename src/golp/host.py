@@ -1,7 +1,12 @@
-"""CPU-path primitives: full sort, bounded-heap Top-K, hash build/probe.
+"""CPU-path primitives: full sort, bounded-heap Top-K, sorted-index join.
 
 These are the baselines the dispatch gate compares against. All functions are
 pure and single-threaded; parallel execution belongs to the device backends.
+
+The join keeps the host_hash_build/host_hash_probe names of a hash join, but
+its build side is a sorted index: the build keys' bits in a stable ascending
+order. A probe key's matches are one run of equal bits, found with two binary
+searches, so a join is O((b + p) log b + matches) in vectorized numpy.
 """
 
 from __future__ import annotations
@@ -13,10 +18,6 @@ import numpy as np
 
 from .errors import CapacityError
 from .store import DEFAULT_MEMORY_BUDGET, MASK64, KeyVector
-
-ROW_EMPTY = np.uint32(0xFFFFFFFF)  # rowids cap at 2**32 - 2, so this slot value means "free"
-
-_U64 = np.uint64
 
 
 @dataclass
@@ -55,18 +56,8 @@ class ProbeResult:
 
 
 def key_bits(keys: np.ndarray) -> np.ndarray:
-    # +0.0 folds -0.0 onto +0.0 so keys that compare equal hash equally.
+    # +0.0 folds -0.0 onto +0.0 so keys that compare equal have equal bits.
     return (np.ascontiguousarray(keys, dtype=np.float64) + 0.0).view(np.uint64)
-
-
-def mix64_array(bits: np.ndarray) -> np.ndarray:
-    z = bits.astype(np.uint64, copy=True)
-    z ^= z >> _U64(30)
-    z *= _U64(0xBF58476D1CE4E5B9)
-    z ^= z >> _U64(27)
-    z *= _U64(0x94D049BB133111EB)
-    z ^= z >> _U64(31)
-    return z
 
 
 def mix64(bits: int) -> int:
@@ -79,48 +70,24 @@ def mix64(bits: int) -> int:
     return z
 
 
-class KeyHashTable:
-    """Open-addressed (key, rowid) multimap with linear probing.
+@dataclass(frozen=True)
+class BuildIndex:
+    """Build-side key bits in ascending order, with their row ids.
 
-    Capacity is fixed at build time (next power of two keeping the load factor
-    at or below load_factor_max), so the slot layout is a deterministic
-    function of the insertion sequence. Duplicate keys are all retained;
-    scanning a probe chain visits them in insertion order.
+    The sort is stable, so equal keys keep their insertion order.
     """
 
-    load_factor_max = 0.7
+    bits: np.ndarray
+    rows: np.ndarray
 
-    def __init__(self, capacity: int):
-        if capacity < 1 or capacity & (capacity - 1):
-            raise ValueError("capacity must be a positive power of two")
-        self.capacity = capacity
-        self.mask = capacity - 1
-        self.slot_bits = np.zeros(capacity, dtype=np.uint64)
-        self.slot_rows = np.full(capacity, ROW_EMPTY, dtype=np.uint32)
-        self.build_count = 0
-
-    def insert(self, bits: int, row: int) -> None:
-        if (self.build_count + 1) > self.load_factor_max * self.capacity:
-            raise CapacityError("hash table load factor limit exceeded")
-        cur = mix64(bits) & self.mask
-        rows = self.slot_rows
-        while rows[cur] != ROW_EMPTY:
-            cur = (cur + 1) & self.mask
-        self.slot_bits[cur] = bits
-        rows[cur] = row
-        self.build_count += 1
-
-    def lookup(self, key: float) -> list[int]:
-        bits = np.float64(key + 0.0).view(np.uint64)
-        cur = mix64(int(bits)) & self.mask
-        out: list[int] = []
-        rows = self.slot_rows
-        slot_bits = self.slot_bits
-        while rows[cur] != ROW_EMPTY:
-            if slot_bits[cur] == bits:
-                out.append(int(rows[cur]))
-            cur = (cur + 1) & self.mask
-        return out
+    def match(self, probe_bits: np.ndarray, probe_rows: np.ndarray):
+        """(probe rows, build rows) of every equal-key pair, probe order first."""
+        lo = np.searchsorted(self.bits, probe_bits, side="left")
+        counts = np.searchsorted(self.bits, probe_bits, side="right") - lo
+        ends = np.cumsum(counts)
+        # position of each match inside its probe key's run of equal build keys
+        offsets = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)
+        return np.repeat(probe_rows, counts), self.rows[np.repeat(lo, counts) + offsets]
 
 
 def host_full_sort(keys: KeyVector) -> np.ndarray:
@@ -145,43 +112,21 @@ def host_topk(keys: KeyVector, k: int) -> TopKResult:
 
 def host_hash_build(
     build_keys: KeyVector, memory_budget: int = DEFAULT_MEMORY_BUDGET
-) -> KeyHashTable:
+) -> BuildIndex:
     n = len(build_keys)
-    capacity = 8
-    while capacity * KeyHashTable.load_factor_max < n:
-        capacity *= 2
-    # 8 bytes of key bits + 4 bytes of rowid per slot
-    if capacity * 12 > memory_budget:
+    # 8 bytes of key bits + 4 bytes of rowid per build row
+    if n * 12 > memory_budget:
         raise CapacityError(
-            f"hash table of {capacity} slots ({capacity * 12} bytes) exceeds "
+            f"build index of {n} rows ({n * 12} bytes) exceeds "
             f"the {memory_budget}-byte budget"
         )
-    table = KeyHashTable(capacity)
     bits = key_bits(build_keys.keys)
-    rows = build_keys.rows
-    for i in range(n):
-        table.insert(int(bits[i]), int(rows[i]))
-    return table
+    order = np.argsort(bits, kind="stable")
+    return BuildIndex(bits=bits[order], rows=build_keys.rows[order])
 
 
-def host_hash_probe(table: KeyHashTable, probe_keys: KeyVector) -> ProbeResult:
-    bits = key_bits(probe_keys.keys)
-    probe_rows = probe_keys.rows
-    out_probe: list[int] = []
-    out_build: list[int] = []
-    slot_bits = table.slot_bits
-    slot_rows = table.slot_rows
-    mask = table.mask
-    for i in range(len(probe_keys)):
-        b = bits[i]
-        cur = mix64(int(b)) & mask
-        while slot_rows[cur] != ROW_EMPTY:
-            if slot_bits[cur] == b:
-                out_probe.append(int(probe_rows[i]))
-                out_build.append(int(slot_rows[cur]))
-            cur = (cur + 1) & mask
+def host_hash_probe(index: BuildIndex, probe_keys: KeyVector) -> ProbeResult:
+    probe_rows, build_rows = index.match(key_bits(probe_keys.keys), probe_keys.rows)
     return ProbeResult(
-        probe_rows=np.array(out_probe, dtype=np.uint32),
-        build_rows=np.array(out_build, dtype=np.uint32),
-        probe_count=len(probe_keys),
+        probe_rows=probe_rows, build_rows=build_rows, probe_count=len(probe_keys)
     )

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from golp.cli import build_parser, load_run_config, main
+from golp.device import DEFAULT_MODELED_PROFILE
 from golp.gate import DEFAULT_CPU_MODEL, estimate_cpu_cost
 from golp.store import load_table
 
@@ -135,6 +136,32 @@ def test_bench_rejects_unknown_backend_in_config(tmp_path):
 
 def test_bench_rejects_missing_config_file(tmp_path):
     assert run_cli("bench", "--config", tmp_path / "nope.json") == 2
+
+
+def test_modeled_bench_exports_a_crossover_its_grid_does_not_bracket(tmp_path, capsys):
+    # the solved n_star (~134,518) lies past the largest grid size
+    cfg = write_config(tmp_path, workload={
+        "n_grid": [1_000, 10_000, 100_000], "repeats": 2, "payload_bytes": 16})
+    out = tmp_path / "run"
+    assert run_cli("bench", "--config", cfg, "--backend", "modeled", "--out", out) == 0
+    for name in EXPORTED_FILES:
+        assert (out / name).is_file(), name
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["n_star"] == pytest.approx(134_517.6105504632, rel=1e-6)
+    assert summary["breakeven_error"] is None
+    assert "never becomes device-cheaper" in capsys.readouterr().err
+
+
+def test_modeled_bench_reports_curves_that_never_cross_as_null(tmp_path, capsys):
+    slow_kernel = dict(DEFAULT_MODELED_PROFILE.to_json_dict(), kernel_rate_topk=1.0)
+    cfg = write_config(tmp_path, gate={"profile": slow_kernel})
+    out = tmp_path / "run"
+    assert run_cli("bench", "--config", cfg, "--backend", "modeled", "--out", out) == 0
+    for name in EXPORTED_FILES:
+        assert (out / name).is_file(), name
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["n_star"] is None and summary["breakeven_error"] is None
+    assert "do not cross" in capsys.readouterr().err
 
 
 # --- bench (proxy) ----------------------------------------------------------

@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from golp.errors import CapacityError
 from golp.host import (
-    KeyHashTable,
     host_full_sort,
     host_hash_build,
     host_hash_probe,
     host_topk,
     key_bits,
-    mix64,
-    mix64_array,
 )
 from golp.store import KeyVector, random_key_vector
 
@@ -120,7 +117,6 @@ def test_probe_empty_sides():
 
 def test_duplicate_build_keys_all_retained():
     table = host_hash_build(kv([7, 7], [0, 1]))
-    assert table.build_count == 2
     got = host_hash_probe(table, kv([7], [5]))
     assert got.matches == [(5, 0), (5, 1)]
 
@@ -160,27 +156,11 @@ def test_negative_keys_probe_correctly():
     assert got.matches == [(9, 0), (9, 2)]
 
 
-def test_mix64_array_matches_scalar_mix():
-    rng = np.random.default_rng(5)
-    vals = rng.integers(0, 2**64, size=200, dtype=np.uint64)
-    arr = mix64_array(vals)
-    for v, h in zip(vals.tolist(), arr.tolist()):
-        assert mix64(int(v)) == int(h)
-
-
-def test_hash_table_enforces_load_factor():
-    table = KeyHashTable(capacity=8)
-    for i in range(5):  # 5/8 < 0.7, 6/8 would exceed it
-        table.insert(i, i)
-    with pytest.raises(CapacityError):
-        table.insert(99, 99)
-
-
-def test_hash_table_lookup_miss():
-    table = host_hash_build(kv([1.0, 2.0]))
-    assert table.lookup(9.0) == []
-
-
 def test_build_respects_memory_budget():
     with pytest.raises(CapacityError):
         host_hash_build(kv(np.arange(10_000, dtype=np.float64)), memory_budget=1_000)
+    # 12 bytes per build row: exactly 12 * n builds, one byte less does not
+    build = kv(np.arange(1_000, dtype=np.float64))
+    host_hash_build(build, memory_budget=12 * 1_000)
+    with pytest.raises(CapacityError):
+        host_hash_build(build, memory_budget=12 * 1_000 - 1)

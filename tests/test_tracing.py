@@ -89,3 +89,16 @@ def test_gated_probe_records_its_layer_spans(config, expect):
     names = query_span_names(spans)
     assert {"gate.decide", "gate.execute_path"} | expect <= names
     assert tracing.transfer_errors(spans) == []
+
+
+def test_proxy_probe_builds_once_on_the_calling_thread():
+    # host.hash_build_ms times the device's build as well; the device's probe
+    # scan runs on the pool and must not show up as a host probe
+    tables = (generate_table(3_000, 8, seed=5), generate_table(9_000, 8, seed=6))
+    with ProxyDevice(workers=2) as dev:
+        assert len(dev._chunk_bounds(9_000, floor=4096)) == 2
+        path, spans = traced_query(tables, OP_PROBE, SLOW_HOST, dev)
+    assert path == DEVICE
+    (build,) = [s for s in spans if s.name == "host.host_hash_build"]
+    assert spans[build.parent].name == "device.probe"
+    assert not [s for s in spans if s.name == "host.host_hash_probe"]
