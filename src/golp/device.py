@@ -37,6 +37,8 @@ from .host import (
     host_hash_probe,
     host_topk,
     key_bits,
+    merge_topk,
+    topk_candidates,
 )
 from .store import KEY_BYTES, KEY_ENTRY_BYTES, ROW_ID_BYTES, KeyVector
 
@@ -181,7 +183,6 @@ class TransferLedger:
 class DeviceCallResult:
     payload: object
     ledger: TransferLedger
-    backend: str
 
 
 def transfer_entry_bytes(mode: str, payload_bytes: Optional[int]) -> int:
@@ -266,7 +267,7 @@ class ModeledDevice(_Device):
         ledger = estimate_device_cost(
             OP_TOPK, len(keys), len(payload), mode, payload_bytes, self.profile
         )
-        return DeviceCallResult(payload=payload, ledger=ledger, backend=self.name)
+        return DeviceCallResult(payload=payload, ledger=ledger)
 
     def probe(
         self,
@@ -280,34 +281,11 @@ class ModeledDevice(_Device):
             OP_PROBE, len(build) + len(probe), payload.match_count, mode, payload_bytes,
             self.profile,
         )
-        return DeviceCallResult(payload=payload, ledger=ledger, backend=self.name)
+        return DeviceCallResult(payload=payload, ledger=ledger)
 
 
 def wall_clock() -> float:
     return time.perf_counter_ns() / 1e9
-
-
-def _chunk_topk_candidates(keys: np.ndarray, rows: np.ndarray, k: int):
-    """Exact top-min(k, len) of one chunk under (key desc, row id asc)."""
-    m = len(keys)
-    if m <= k:
-        return keys, rows
-    kth = m - k
-    top_pos = np.argpartition(keys, kth)[kth:]
-    boundary = keys[top_pos].min()
-    greater_pos = np.flatnonzero(keys > boundary)
-    need = k - len(greater_pos)
-    eq_pos = np.flatnonzero(keys == boundary)
-    if len(eq_pos) > need:
-        # ties at the boundary resolve toward smaller row ids
-        eq_pos = eq_pos[np.argsort(rows[eq_pos], kind="stable")[:need]]
-    pos = np.concatenate([greater_pos, eq_pos])
-    return keys[pos], rows[pos]
-
-
-def _merge_topk_candidates(keys: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
-    order = np.lexsort((rows, -keys))
-    return rows[order[: min(k, len(keys))]].astype(np.uint32, copy=False)
 
 
 class ProxyDevice(_Device):
@@ -346,10 +324,14 @@ class ProxyDevice(_Device):
         step = (n + chunks - 1) // chunks
         return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
-    def _map(self, fn, spans):
+    def _scan(self, n: int, floor: int, fn) -> tuple[np.ndarray, ...]:
+        """fn(lo, hi) over the chunks of n rows, on the pool; each output column joined."""
+        spans = self._chunk_bounds(n, floor)
         if self._pool is None or len(spans) == 1:
-            return [fn(span) for span in spans]
-        return list(self._pool.map(fn, spans))
+            parts = [fn(lo, hi) for lo, hi in spans]
+        else:
+            parts = list(self._pool.map(lambda span: fn(*span), spans))
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     @staticmethod
     def _h2d(vectors: Sequence[KeyVector], mode: str, payload_bytes: Optional[int]):
@@ -382,26 +364,21 @@ class ProxyDevice(_Device):
         entry = transfer_entry_bytes(mode, payload_bytes)
         (dev_keys,), (dev_rows,), t0, t1 = self._h2d([keys], mode, payload_bytes)
 
-        spans = self._chunk_bounds(n, floor=max(4 * k, 4096))
-
-        def select(span):
-            lo, hi = span
-            return _chunk_topk_candidates(dev_keys[lo:hi], dev_rows[lo:hi], k)
-
-        parts = self._map(select, spans)
-        cand_keys = np.concatenate([p[0] for p in parts])
-        cand_rows = np.concatenate([p[1] for p in parts])
-        result_rows = _merge_topk_candidates(cand_keys, cand_rows, k)
+        candidates = self._scan(
+            n, max(4 * k, 4096),
+            lambda lo, hi: topk_candidates(dev_keys[lo:hi], dev_rows[lo:hi], k),
+        )
+        result_rows = merge_topk(*candidates, k)
         t2 = wall_clock()
 
         returned_rows = result_rows.copy()
         t3 = wall_clock()
 
-        payload = TopKResult(rows=returned_rows, k_requested=k)
+        payload = TopKResult(rows=returned_rows)
         t4 = wall_clock()
 
         ledger = _measured_ledger(OP_TOPK, entry * n, len(returned_rows), (t0, t1, t2, t3, t4))
-        return DeviceCallResult(payload=payload, ledger=ledger, backend=self.name)
+        return DeviceCallResult(payload=payload, ledger=ledger)
 
     def probe(
         self,
@@ -419,15 +396,9 @@ class ProxyDevice(_Device):
         # the build runs on the calling thread; the pool threads only scan it
         index = host_hash_build(KeyVector(keys=dev_build_keys, rows=dev_build_rows))
         bits = key_bits(dev_probe_keys)
-        spans = self._chunk_bounds(len(probe), floor=4096)
-
-        def scan(span):
-            lo, hi = span
-            return index.match(bits[lo:hi], dev_probe_rows[lo:hi])
-
-        parts = self._map(scan, spans)
-        probe_rows = np.concatenate([p[0] for p in parts])
-        build_rows = np.concatenate([p[1] for p in parts])
+        probe_rows, build_rows = self._scan(
+            len(probe), 4096, lambda lo, hi: index.match(bits[lo:hi], dev_probe_rows[lo:hi])
+        )
         t2 = wall_clock()
 
         returned = (probe_rows.copy(), build_rows.copy())
@@ -441,7 +412,7 @@ class ProxyDevice(_Device):
         ledger = _measured_ledger(
             OP_PROBE, entry * n_total, payload.match_count, (t0, t1, t2, t3, t4)
         )
-        return DeviceCallResult(payload=payload, ledger=ledger, backend=self.name)
+        return DeviceCallResult(payload=payload, ledger=ledger)
 
 
 def _measured_ledger(op: str, h2d_bytes: int, returned: int, stamps) -> TransferLedger:

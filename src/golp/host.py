@@ -1,7 +1,11 @@
-"""CPU-path primitives: full sort, bounded-heap Top-K, sorted-index join.
+"""CPU-path primitives: full sort, argpartition Top-K, sorted-index join.
 
 These are the baselines the dispatch gate compares against. All functions are
 pure and single-threaded; parallel execution belongs to the device backends.
+
+The Top-K is a selection, not a sort: argpartition finds the k largest keys
+in O(n), then only those k are sorted, so a Top-K is O(n + k log k). The proxy
+device runs the same two steps, a selection per chunk and one merge.
 
 The join keeps the host_hash_build/host_hash_probe names of a hash join, but
 its build side is a sorted index: the build keys' bits in a stable ascending
@@ -11,7 +15,6 @@ searches, so a join is O((b + p) log b + matches) in vectorized numpy.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +26,6 @@ from .store import DEFAULT_MEMORY_BUDGET, MASK64, KeyVector
 @dataclass
 class TopKResult:
     rows: np.ndarray
-    k_requested: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", np.ascontiguousarray(self.rows, dtype=np.uint32))
@@ -96,18 +98,38 @@ def host_full_sort(keys: KeyVector) -> np.ndarray:
     return keys.rows[order]
 
 
+def topk_candidates(keys: np.ndarray, rows: np.ndarray, k: int):
+    """(keys, rows) of the top min(k, len) entries, unordered, under (key desc, row id asc)."""
+    m = len(keys)
+    if m <= k:
+        return keys, rows
+    kth = m - k
+    top_pos = np.argpartition(keys, kth)[kth:]
+    boundary = keys[top_pos].min()
+    greater_pos = np.flatnonzero(keys > boundary)
+    need = k - len(greater_pos)
+    eq_pos = np.flatnonzero(keys == boundary)
+    if len(eq_pos) > need:
+        # ties at the boundary resolve toward smaller row ids
+        eq_pos = eq_pos[np.argsort(rows[eq_pos], kind="stable")[:need]]
+    pos = np.concatenate([greater_pos, eq_pos])
+    return keys[pos], rows[pos]
+
+
+def merge_topk(keys: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """Row ids of the k best candidates, key descending, equal keys by ascending row id."""
+    order = np.lexsort((rows, -keys))
+    return rows[order[: min(k, len(keys))]].astype(np.uint32, copy=False)
+
+
 def host_topk(keys: KeyVector, k: int) -> TopKResult:
     """The k largest keys, descending; equal keys by ascending row id.
 
-    Bounded min-heap of size k (O(N log k)), not a full sort.
+    An argpartition selection, then a sort of the k selected: O(n + k log k).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    take = min(k, len(keys))
-    neg_rows = -keys.rows.astype(np.int64)
-    best = heapq.nlargest(take, zip(keys.keys.tolist(), neg_rows.tolist()))
-    rows = np.array([-neg for _, neg in best], dtype=np.uint32)
-    return TopKResult(rows=rows, k_requested=k)
+    return TopKResult(rows=merge_topk(*topk_candidates(keys.keys, keys.rows, k), k))
 
 
 def host_hash_build(

@@ -21,10 +21,10 @@ from golp.device import (
     transfer_entry_bytes,
 )
 from golp.errors import CalibrationError
-from golp.host import host_hash_build, host_hash_probe, host_topk
+from golp.host import host_hash_build, host_hash_probe
 from golp.store import KeyVector, random_key_vector
 
-from .oracles import oracle_join_outer
+from .oracles import oracle_join_outer, oracle_topk_rows
 
 EXAMPLE_PROFILE = DeviceProfile(
     h2d_bandwidth=10e9,
@@ -183,17 +183,6 @@ def test_proxy_device_closes_its_pool_when_the_block_ends_or_raises():
 # --- proxy backend ----------------------------------------------------------
 
 
-def test_proxy_topk_matches_host_multi_chunk():
-    keys = small_domain_keys(20_000, 9)  # many ties straddling chunk edges
-    dev = ProxyDevice(workers=4)
-    try:
-        res = dev.topk(keys, 100)
-    finally:
-        dev.close()
-    assert res.backend == "proxy"
-    assert np.array_equal(res.payload.rows, host_topk(keys, 100).rows)
-
-
 def test_proxy_topk_full_row_matches_key_only_answer():
     keys = random_key_vector(10_000, 12)
     dev = ProxyDevice(workers=4)
@@ -207,12 +196,30 @@ def test_proxy_topk_full_row_matches_key_only_answer():
     assert key.ledger.h2d_bytes == 12 * 10_000
 
 
-def signed_keys_with_zeros(n, seed):
-    """Keys in [-256, 256) where about half the zeros are -0.0."""
+def signed_keys_with_zeros(n, seed, low=-256, high=256):
+    """Keys in [low, high) where about half the zeros are -0.0."""
     rng = np.random.default_rng(seed)
-    keys = rng.integers(-256, 256, size=n).astype(np.float64)
+    keys = rng.integers(low, high, size=n).astype(np.float64)
     keys[(keys == 0.0) & (rng.random(n) < 0.5)] = -0.0
     return KeyVector(keys=keys, rows=rng.permutation(n).astype(np.uint32))
+
+
+def test_proxy_topk_matches_host_multi_chunk():
+    # The host and the proxy share one selection, so the proxy's answer is
+    # checked against the sorting oracle, not against the host. Keys in
+    # [-4, 1) put the k-th key at zero, and every chunk holds more than k
+    # -0.0/+0.0 ties, so each chunk and the merge must order them by row id.
+    k = 100
+    keys = signed_keys_with_zeros(16_384, 9, low=-4, high=1)
+    expect = oracle_topk_rows(keys.keys.tolist(), keys.rows.tolist(), k)
+    kth = keys.keys[np.argsort(keys.rows)][expect[-1]]
+    assert kth == 0.0 and np.signbit(keys.keys[keys.keys == 0.0]).any()
+    with ProxyDevice(workers=4) as dev:
+        spans = dev._chunk_bounds(len(keys), floor=max(4 * k, 4096))
+        assert len(spans) == 4
+        assert all((keys.keys[lo:hi] == kth).sum() > k for lo, hi in spans)
+        res = dev.topk(keys, k)
+    assert list(res.payload.rows) == expect
 
 
 def test_proxy_probe_matches_host_multi_chunk():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golp.device import ProxyDevice
 from golp.errors import CapacityError
 from golp.host import (
     host_full_sort,
@@ -48,7 +49,6 @@ def test_full_sort_matches_oracle():
 def test_topk_hand_case():
     got = host_topk(kv([5, 1, 9, 3]), 2)
     assert list(got.rows) == [2, 0]
-    assert got.k_requested == 2
 
 
 def test_topk_saturates_when_k_exceeds_n():
@@ -61,6 +61,10 @@ def test_topk_saturates_when_k_exceeds_n():
     assert list(host_topk(kv(uniq), 10).rows) == list(
         reversed(oracle_sort_rows(uniq, range(4)))
     )
+    # an empty table returns no rows, on the host and on the device
+    assert len(host_topk(kv([]), 10)) == 0
+    with ProxyDevice(workers=2) as dev:
+        assert len(dev.topk(kv([]), 10).payload) == 0
 
 
 def test_topk_tie_rule_prefers_low_row_id():

@@ -102,3 +102,15 @@ def test_proxy_probe_builds_once_on_the_calling_thread():
     (build,) = [s for s in spans if s.name == "host.host_hash_build"]
     assert spans[build.parent].name == "device.probe"
     assert not [s for s in spans if s.name == "host.host_hash_probe"]
+
+
+def test_proxy_topk_selects_on_the_pool_without_a_host_topk():
+    # host.topk_calls counts host-path queries only: the device shares the
+    # host's selection helpers, never the traced host_topk
+    table = generate_table(9_000, 8, seed=7)
+    with ProxyDevice(workers=2) as dev:
+        assert len(dev._chunk_bounds(9_000, floor=4096)) == 2
+        path, spans = traced_query(table, OP_TOPK, SLOW_HOST, dev)
+    assert path == DEVICE
+    assert len([s for s in spans if s.name == "device.topk"]) == 1
+    assert not [s for s in spans if s.name == "host.host_topk"]
