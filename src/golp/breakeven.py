@@ -1,8 +1,11 @@
 """Curve fitting and crossover solving for host-vs-device cost curves.
 
-The host curve is a*n*log2(n)+b (sort family), the device curve is a linear
-transfer term c*n+d plus the profile's launch/kernel/post terms. The break-even
-size n_star is where they meet; a measured sweep validates the solved value.
+The fits describe the measured curves: the host's a*n*log2(n)+b (sort family)
+and the key-only transfer's c*n+d, each with its residual and R^2. The
+break-even size n_star is the root of a gain function, host cost minus device
+cost, that the caller supplies; golp.gate.break_even_n hands it the gate's own
+estimates, so n_star is where the gate flips at margin 0. A measured sweep
+validates the solved value.
 
 Fits use closed-form two-parameter least squares (no linear-algebra library),
 so results are bit-reproducible across platforms. The same non-negative line
@@ -13,21 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import CalibrationError, NoCrossingError, SweepBracketError
 
 _N_LO = 2.0
 _N_HI = float(2**40)
-
-
-class DeviceTerms(NamedTuple):
-    """Non-transfer device costs added on top of the fitted c*n+d curve."""
-
-    launch: float
-    kernel_rate: float
-    post_rate: float
-    k: int
 
 
 @dataclass(frozen=True)
@@ -40,12 +34,6 @@ class FitResult:
     rss_tx: float
     r2_cpu: float
     r2_tx: float
-
-    def cpu_seconds(self, n: float) -> float:
-        return self.a * n * math.log2(max(n, 2.0)) + self.b
-
-    def tx_seconds(self, n: float) -> float:
-        return self.c * n + self.d
 
     def to_json_dict(self) -> dict:
         return {
@@ -63,8 +51,6 @@ class FitResult:
 @dataclass(frozen=True)
 class BreakEven:
     n_star: float
-    fit: FitResult
-    device_terms: DeviceTerms
     measured_n_star: Optional[float] = None
     relative_error: Optional[float] = None
 
@@ -133,61 +119,28 @@ def make_fit_result(
                      r2_cpu=r2_cpu, r2_tx=r2_tx)
 
 
-def _difference(fit: FitResult, terms: DeviceTerms, n: float) -> float:
-    device = fit.tx_seconds(n) + terms.launch + terms.kernel_rate * n + terms.post_rate * terms.k
-    return fit.cpu_seconds(n) - device
+def solve_break_even(gain: Callable[[float], float]) -> float:
+    """Smallest n in [2, 2**40] where gain(n), host cost minus device cost, turns positive.
 
-
-def solve_break_even(fit: FitResult, device_terms: DeviceTerms) -> BreakEven:
-    """Smallest n in [2, 2**40] where the cpu and device curves cross.
-
-    Bisection on the difference function; the returned n_star satisfies
-    |T_cpu - T_dev| / T_cpu <= 1e-9.
+    Doubling from n = 2 brackets the crossing, then bisection narrows it to a
+    relative width of 1e-12 and returns the midpoint.
     """
-    if not fit.a > 0.0:
-        raise NoCrossingError("cpu curve has no n*log2(n) growth (a <= 0)")
-    terms = DeviceTerms(*device_terms)
-
-    lo = _N_LO
-    g_lo = _difference(fit, terms, lo)
-    if g_lo == 0.0:
-        return BreakEven(n_star=lo, fit=fit, device_terms=terms)
-    hi = lo
-    bracket = None
-    while hi < _N_HI:
-        nxt = min(hi * 2.0, _N_HI)
-        g_next = _difference(fit, terms, nxt)
-        if g_next == 0.0:
-            bracket = (nxt, nxt)
-            break
-        if (g_lo < 0.0) != (g_next < 0.0):
-            bracket = (hi, nxt)
-            break
-        hi = nxt
-        g_lo = g_next
-    if bracket is None:
-        raise NoCrossingError(
-            "cost curves do not cross on [2, 2**40] with these constants"
-        )
-    lo, hi = bracket
-    if lo == hi:
-        return BreakEven(n_star=lo, fit=fit, device_terms=terms)
-    g_lo = _difference(fit, terms, lo)
-    for _ in range(200):
+    if gain(_N_LO) > 0.0:
+        raise NoCrossingError("the device is already cheaper at n = 2")
+    lo, hi = _N_LO, 2.0 * _N_LO
+    while not gain(hi) > 0.0:
+        if hi >= _N_HI:
+            raise NoCrossingError(
+                "cost curves do not cross on [2, 2**40]: the device never becomes cheaper"
+            )
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12 * lo:
         mid = 0.5 * (lo + hi)
-        g_mid = _difference(fit, terms, mid)
-        if g_mid == 0.0:
-            lo = hi = mid
-            break
-        if (g_mid < 0.0) == (g_lo < 0.0):
-            lo = mid
-            g_lo = g_mid
-        else:
+        if gain(mid) > 0.0:
             hi = mid
-        if hi - lo <= 1e-12 * max(lo, 1.0):
-            break
-    n_star = 0.5 * (lo + hi)
-    return BreakEven(n_star=n_star, fit=fit, device_terms=terms)
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def measured_crossover(sweep: Sequence[tuple[float, float, float]]) -> float:
@@ -214,7 +167,7 @@ def measured_crossover(sweep: Sequence[tuple[float, float, float]]) -> float:
 
 def validate_break_even(
     n_star: float, sweep: Sequence[tuple[float, float, float]]
-) -> float:
-    """Relative error of n_star against a measured (n, host_s, device_s) sweep."""
+) -> BreakEven:
+    """n_star with the sweep's crossover and its relative error against it."""
     cross = measured_crossover(sweep)
-    return abs(n_star - cross) / cross
+    return BreakEven(n_star, measured_n_star=cross, relative_error=abs(n_star - cross) / cross)

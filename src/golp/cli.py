@@ -18,12 +18,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .breakeven import (
-    DeviceTerms,
-    make_fit_result,
-    measured_crossover,
-    solve_break_even,
-)
+from .breakeven import BreakEven, make_fit_result, validate_break_even
 from .device import KEY_ONLY, calibrate_profile, make_device
 from .errors import (
     CalibrationError,
@@ -36,6 +31,7 @@ from .gate import (
     GateConfig,
     OP_FULL_SORT,
     OP_TOPK,
+    break_even_n,
     calibrate_cpu_model,
     decide,
     with_margin,
@@ -55,7 +51,7 @@ from .harness import (
     run_scaling_baseline,
     run_strategy_comparison,
 )
-from .store import generate_table, save_table
+from .store import KEY_ENTRY_BYTES, generate_table, save_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -128,35 +124,23 @@ def _fit_from_runs(scaling: Sequence[ScalingRow], payload: PayloadComparison):
     return make_fit_result(cpu_pts, tx_pts)
 
 
-def _device_terms(gate: GateConfig, k: int) -> DeviceTerms:
-    profile = gate.profile
-    return DeviceTerms(
-        launch=profile.launch_overhead,
-        kernel_rate=profile.kernel_rate_topk,
-        post_rate=profile.post_rate,
-        k=k,
-    )
-
-
-def _solve_with_sweep(fit, gate: GateConfig, k: int, sweep: Sequence[BreakEvenRow]):
-    """Solved BreakEven validated against the sweep, or None if the curves never cross.
+def _solve_with_sweep(gate: GateConfig, spec: WorkloadSpec, sweep: Sequence[BreakEvenRow]):
+    """The gate's crossover validated against the sweep, or None if it has none.
 
     A sweep that does not bracket a crossover leaves the solved n_star
     unvalidated. Either reason goes to stderr: the figures are worth
     exporting all the same.
     """
     try:
-        be = solve_break_even(fit, _device_terms(gate, k))
+        n_star = break_even_n(gate, spec.k, spec.payload_bytes)
     except NoCrossingError as exc:
         print(f"warning: no n_star: {exc}", file=sys.stderr)
         return None
     try:
-        measured = measured_crossover(sweep)
+        return validate_break_even(n_star, sweep)
     except SweepBracketError as exc:
         print(f"warning: n_star not validated: {exc}", file=sys.stderr)
-        return be
-    error = abs(be.n_star - measured) / measured
-    return dataclasses.replace(be, measured_n_star=measured, relative_error=error)
+        return BreakEven(n_star)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -183,7 +167,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         strategies = run_strategy_comparison(spec, gate, device=device)
     margins = run_margin_sweep(spec, DEFAULT_MARGINS, gate)
     fit = _fit_from_runs(scaling, payload)
-    be = _solve_with_sweep(fit, gate, spec.k, sweep)
+    be = _solve_with_sweep(gate, spec, sweep)
 
     report = BenchReport(
         scaling_rows=list(scaling),
@@ -264,20 +248,34 @@ def read_sweep_csv(path) -> list[tuple[float, float, float]]:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    """Solves the crossover of the gate's config with the fitted curves in place.
+
+    The host's sort family takes a and b, the key-only transfer takes the
+    bandwidth KEY_ENTRY_BYTES / c, and d adds to the launch overhead.
+    """
     rc = load_run_config(args)
     cpu_pts = read_curve_csv(args.cpu, "cpu")
     tx_pts = read_curve_csv(args.tx, "tx")
     fit = make_fit_result(cpu_pts, tx_pts)
-    be = solve_break_even(fit, _device_terms(rc.gate, rc.workload.k))
-    measured: Optional[float] = None
-    error: Optional[float] = None
-    if args.sweep:
-        measured = measured_crossover(read_sweep_csv(args.sweep))
-        error = abs(be.n_star - measured) / measured
+    if not fit.c > 0.0:
+        raise CalibrationError("transfer curve has no per-row growth (c <= 0)")
+    gate = dataclasses.replace(
+        rc.gate,
+        cpu_model=dataclasses.replace(rc.gate.cpu_model, alpha_sort=fit.a, beta_sort=fit.b),
+        profile=dataclasses.replace(
+            rc.gate.profile,
+            h2d_bandwidth=KEY_ENTRY_BYTES / fit.c,
+            launch_overhead=rc.gate.profile.launch_overhead + fit.d,
+        ),
+        mode=KEY_ONLY,
+    )
+    n_star = break_even_n(gate, rc.workload.k, rc.workload.payload_bytes)
+    be = (validate_break_even(n_star, read_sweep_csv(args.sweep))
+          if args.sweep else BreakEven(n_star))
     out_doc = dict(fit.to_json_dict())
     out_doc["n_star"] = be.n_star
-    out_doc["measured_n_star"] = measured
-    out_doc["relative_error"] = error
+    out_doc["measured_n_star"] = be.measured_n_star
+    out_doc["relative_error"] = be.relative_error
     text = json.dumps(out_doc, indent=2, sort_keys=True)
     print(text)
     if args.out:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
-from .breakeven import fit_nonneg_line
+from .breakeven import fit_nonneg_line, solve_break_even
 from .device import (  # the OP_* names are re-exported for the gate's callers
     DEFAULT_MODELED_PROFILE,
     KEY_ONLY,
@@ -126,6 +126,27 @@ def estimate_cpu_cost(model: CpuCostModel, op: str, n: int, k: int = 1) -> float
     return alpha * n * spec.row_factor(n, k) + beta
 
 
+def estimate_costs(
+    config: GateConfig,
+    op: str,
+    n: float,
+    k: int = 1,
+    payload_bytes: Optional[int] = None,
+    build_n: int = 0,
+) -> tuple[float, float]:
+    """(host, device) cost estimates of one query: the pair decide compares.
+
+    For probes, n is the probe-side row count (the cpu model's input) and
+    build_n the build side, so the device estimate covers both transfers.
+    Single-table ops have no build side.
+    """
+    c_cpu = estimate_cpu_cost(config.cpu_model, op, n, k)
+    c_gpu = estimate_device_cost(
+        op, n + build_n, k, config.mode, payload_bytes, config.profile
+    ).total
+    return c_cpu, c_gpu
+
+
 def decide(
     config: GateConfig,
     op: str,
@@ -134,17 +155,9 @@ def decide(
     payload_bytes: Optional[int] = None,
     build_n: int = 0,
 ) -> GateDecision:
-    """Pure decision rule: guard first, then strict gain > margin.
-
-    For probes, n is the probe-side row count (the cpu model's input) and
-    build_n the build side, so the device estimate covers both transfers.
-    Single-table ops have no build side.
-    """
+    """Pure decision rule: guard first, then strict gain > margin."""
     guard = config.min_n_guard is not None and n < config.min_n_guard
-    c_cpu = estimate_cpu_cost(config.cpu_model, op, n, k)
-    c_gpu = estimate_device_cost(
-        op, n + build_n, k, config.mode, payload_bytes, config.profile
-    ).total
+    c_cpu, c_gpu = estimate_costs(config, op, n, k, payload_bytes, build_n)
     gain = c_cpu - c_gpu
     path = DEVICE if (not guard and gain > config.margin_s) else HOST
     return GateDecision(
@@ -155,6 +168,22 @@ def decide(
         guard_triggered=guard,
         margin_used=config.margin_s,
     )
+
+
+def break_even_n(config: GateConfig, k: int, payload_bytes: Optional[int] = None) -> float:
+    """Top-K size where decide's gain turns positive: n_star.
+
+    The config's margin and guard do not enter the solve: at margin 0 and
+    with no guard in the way, decide keeps floor(n_star) rows on the host and
+    sends ceil(n_star) to the device. The solve reads the estimates directly,
+    not through decide, so it adds no decisions to a trace of the gate.
+    Raises NoCrossingError when the gain does not turn positive on [2, 2**40].
+    """
+    def gain(n: float) -> float:
+        c_cpu, c_gpu = estimate_costs(config, OP_TOPK, n, k, payload_bytes)
+        return c_cpu - c_gpu
+
+    return solve_break_even(gain)
 
 
 def execute_path(tables, op: str, k: int, config: GateConfig, device, path: str):

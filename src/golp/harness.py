@@ -38,7 +38,6 @@ from .device import (
     OP_TOPK,
     ModeledDevice,
     TransferLedger,
-    estimate_device_cost,
     wall_clock,
 )
 from .errors import StrategyMismatchError
@@ -50,6 +49,7 @@ from .gate import (
     GateDecision,
     OP_FULL_SORT,
     decide,
+    estimate_costs,
     estimate_cpu_cost,
     execute_gated,
     execute_path,
@@ -457,10 +457,7 @@ def model_breakeven_sweep(
         n = min(int(round(x)), hi)
         if n not in seen:
             seen.add(n)
-            cpu_s = estimate_cpu_cost(config.cpu_model, OP_TOPK, n, spec.k)
-            device_s = estimate_device_cost(
-                OP_TOPK, n, spec.k, config.mode, spec.payload_bytes, config.profile
-            ).total
+            cpu_s, device_s = estimate_costs(config, OP_TOPK, n, spec.k, spec.payload_bytes)
             rows.append(BreakEvenRow(float(n), cpu_s, device_s))
         if n >= hi:
             break

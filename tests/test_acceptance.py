@@ -6,18 +6,13 @@ numbers it judged (visible with -s or on failure).
 """
 
 import json
+import math
 import time
 
 import numpy as np
 import pytest
 
-from golp.breakeven import (
-    DeviceTerms,
-    FitResult,
-    fit_linear,
-    fit_nlogn,
-    solve_break_even,
-)
+from golp.breakeven import fit_linear, fit_nlogn, solve_break_even
 from golp.cli import main
 from golp.device import (
     DEFAULT_MODELED_PROFILE,
@@ -29,7 +24,7 @@ from golp.device import (
     ProxyDevice,
     estimate_device_cost,
 )
-from golp.gate import DEFAULT_CPU_MODEL, GateConfig
+from golp.gate import GateConfig, break_even_n
 from golp.harness import (
     DEFAULT_MARGINS,
     WorkloadSpec,
@@ -162,12 +157,9 @@ def test_criterion_03_solved_crossover_matches_the_sweep(tmp_path, capsys):
     assert doc["relative_error"] is not None
     assert doc["relative_error"] <= 0.05, f"relative error {doc['relative_error']:.4f} > 5%"
 
-    analytic = solve_break_even(
-        FitResult(a=2e-9, b=0.0, c=4e-8, d=0.0, rss_cpu=0.0, rss_tx=0.0,
-                  r2_cpu=1.0, r2_tx=1.0),
-        DeviceTerms(launch=0.0, kernel_rate=0.0, post_rate=0.0, k=0),
-    )
-    analytic_err = abs(analytic.n_star - 1_048_576.0) / 1_048_576.0
+    # a*n*log2(n) meets c*n at log2(n) = c/a = 20
+    analytic = solve_break_even(lambda n: 2e-9 * n * math.log2(n) - 4e-8 * n)
+    analytic_err = abs(analytic - 1_048_576.0) / 1_048_576.0
     assert analytic_err <= 1e-6, f"analytic crossover off by {analytic_err:.2e}"
     print(f"criterion 3 PASS: solved n_star={doc['n_star']:.1f} vs swept "
           f"{doc['measured_n_star']:.1f} (error {doc['relative_error']:.5f} <= 5%); "
@@ -231,16 +223,7 @@ def test_criterion_06_margin_sweep_is_monotone_and_brackets_the_crossover():
         f"switch sizes not monotone: {switches}"
     )
 
-    profile = DEFAULT_MODELED_PROFILE
-    fit = FitResult(
-        a=DEFAULT_CPU_MODEL.alpha_sort, b=DEFAULT_CPU_MODEL.beta_sort,
-        c=12.0 / profile.h2d_bandwidth, d=0.0,
-        rss_cpu=0.0, rss_tx=0.0, r2_cpu=1.0, r2_tx=1.0,
-    )
-    terms = DeviceTerms(launch=profile.launch_overhead,
-                        kernel_rate=profile.kernel_rate_topk,
-                        post_rate=profile.post_rate, k=spec.k)
-    n_star = solve_break_even(fit, terms).n_star
+    n_star = break_even_n(GateConfig(), spec.k, spec.payload_bytes)
     switch0 = rows[0].switch_n
     below = max(n for n in spec.n_grid if n < switch0)
     assert below < n_star <= switch0, (

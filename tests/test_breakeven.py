@@ -7,8 +7,6 @@ import pytest
 
 from golp.breakeven import (
     BreakEven,
-    DeviceTerms,
-    FitResult,
     fit_linear,
     fit_nlogn,
     make_fit_result,
@@ -16,21 +14,29 @@ from golp.breakeven import (
     solve_break_even,
     validate_break_even,
 )
+from golp.device import OP_TOPK
 from golp.errors import CalibrationError, NoCrossingError, SweepBracketError
+from golp.gate import DEVICE, HOST, GateConfig, break_even_n, decide, estimate_costs
 
-NO_TERMS = DeviceTerms(launch=0.0, kernel_rate=0.0, post_rate=0.0, k=0)
+
+def nlogn(a, b):
+    return lambda n: a * n * math.log2(n) + b
+
+
+def linear(c, d):
+    return lambda n: c * n + d
 
 
 def nlogn_points(a, b, ns):
-    return [(n, a * n * math.log2(n) + b) for n in ns]
+    return [(n, nlogn(a, b)(n)) for n in ns]
 
 
 def linear_points(c, d, ns):
-    return [(n, c * n + d) for n in ns]
+    return [(n, linear(c, d)(n)) for n in ns]
 
 
-def plain_fit(a, b, c, d):
-    return FitResult(a=a, b=b, c=c, d=d, rss_cpu=0.0, rss_tx=0.0, r2_cpu=1.0, r2_tx=1.0)
+def gain_of(cpu, device):
+    return lambda n: cpu(n) - device(n)
 
 
 # --- fitting ----------------------------------------------------------------
@@ -99,10 +105,9 @@ def test_make_fit_result_bundles_both_fits():
         linear_points(4e-10, 2e-6, [1_000, 10_000, 100_000]),
     )
     assert fit.a == pytest.approx(2e-9, rel=1e-12)
+    assert fit.b == pytest.approx(1e-5, rel=1e-12)
     assert fit.c == pytest.approx(4e-10, rel=1e-12)
-    assert fit.cpu_seconds(10_000) == pytest.approx(2e-9 * 10_000 * math.log2(10_000) + 1e-5,
-                                                    rel=1e-12)
-    assert fit.tx_seconds(10_000) == pytest.approx(4e-10 * 10_000 + 2e-6, rel=1e-12)
+    assert fit.d == pytest.approx(2e-6, rel=1e-12)
     keys = set(fit.to_json_dict())
     assert keys == {"a", "b", "c", "d", "rss_cpu", "rss_tx", "r2_cpu", "r2_tx"}
 
@@ -114,8 +119,8 @@ def test_refit_on_predictions_is_idempotent():
     )
     ns = [2_000, 8_000, 64_000]
     refit = make_fit_result(
-        [(n, fit.cpu_seconds(n)) for n in ns],
-        [(n, fit.tx_seconds(n)) for n in ns],
+        nlogn_points(fit.a, fit.b, ns),
+        linear_points(fit.c, fit.d, ns),
     )
     for field in ("a", "b", "c", "d"):
         assert getattr(refit, field) == pytest.approx(getattr(fit, field), rel=1e-12)
@@ -126,8 +131,8 @@ def test_refit_on_predictions_is_idempotent():
 
 def test_analytic_crossover_lands_on_two_to_the_twenty():
     # a*n*log2(n) meets c*n where log2(n) = c/a = 4e-8/2e-9 = 20, i.e. n = 2^20
-    be = solve_break_even(plain_fit(a=2e-9, b=0.0, c=4e-8, d=0.0), NO_TERMS)
-    assert be.n_star == pytest.approx(1_048_576.0, rel=1e-9)
+    n_star = solve_break_even(gain_of(nlogn(2e-9, 0.0), linear(4e-8, 0.0)))
+    assert n_star == pytest.approx(1_048_576.0, rel=1e-9)
 
 
 def test_solver_residual_is_tiny_at_the_returned_crossing():
@@ -135,42 +140,45 @@ def test_solver_residual_is_tiny_at_the_returned_crossing():
     for _ in range(20):
         a = float(10 ** rng.uniform(-11, -9))
         n_target = float(10 ** rng.uniform(4, 7))
-        fit = plain_fit(a=a, b=0.0, c=a * math.log2(n_target), d=0.0)
-        be = solve_break_even(fit, NO_TERMS)
-        assert be.n_star == pytest.approx(n_target, rel=1e-6)
-        cpu = fit.cpu_seconds(be.n_star)
-        dev = fit.tx_seconds(be.n_star)
-        assert abs(cpu - dev) / cpu <= 1e-9
+        cpu, dev = nlogn(a, 0.0), linear(a * math.log2(n_target), 0.0)
+        n_star = solve_break_even(gain_of(cpu, dev))
+        assert n_star == pytest.approx(n_target, rel=1e-6)
+        assert abs(cpu(n_star) - dev(n_star)) / cpu(n_star) <= 1e-9
 
 
 def test_solver_accounts_for_launch_and_kernel_terms():
-    fit = plain_fit(a=1.2e-10, b=5e-6, c=4.8e-10, d=0.0)
-    terms = DeviceTerms(launch=200e-6, kernel_rate=0.1e-9, post_rate=20e-9, k=100)
-    be = solve_break_even(fit, terms)
-    assert be.n_star == pytest.approx(134_517.6105504632, rel=1e-9)
-    cpu = fit.cpu_seconds(be.n_star)
-    dev = fit.tx_seconds(be.n_star) + terms.launch + terms.kernel_rate * be.n_star \
-        + terms.post_rate * terms.k
-    assert abs(cpu - dev) / cpu <= 1e-9
-    assert isinstance(be, BreakEven)
-    assert be.measured_n_star is None
+    config = GateConfig()
+    profile = config.profile
+    n_star = break_even_n(config, 100)
+    # every device term of the modeled Top-K, d2h of the k row ids included
+    cpu = nlogn(config.cpu_model.alpha_sort, config.cpu_model.beta_sort)
+
+    def device(n):
+        return (12 * n / profile.h2d_bandwidth + profile.launch_overhead
+                + profile.kernel_rate_topk * n + 4 * 100 / profile.d2h_bandwidth
+                + profile.post_rate * 100)
+
+    assert n_star == pytest.approx(134_527.38081520796, rel=1e-9)
+    assert abs(cpu(n_star) - device(n_star)) / cpu(n_star) <= 1e-9
+    assert estimate_costs(config, OP_TOPK, n_star, 100) == pytest.approx(
+        (cpu(n_star), device(n_star)), rel=1e-12)
+    assert decide(config, OP_TOPK, math.floor(n_star), 100).path == HOST
+    assert decide(config, OP_TOPK, math.ceil(n_star), 100).path == DEVICE
 
 
 def test_no_growth_raises():
+    # a flat host curve against a growing device curve
     with pytest.raises(NoCrossingError):
-        solve_break_even(plain_fit(a=0.0, b=1e-3, c=1e-9, d=0.0), NO_TERMS)
+        solve_break_even(gain_of(nlogn(0.0, 1e-3), linear(1e-9, 0.0)))
 
 
 def test_curves_that_never_cross_raise():
     # device cheaper from the very start and forever after
-    with pytest.raises(NoCrossingError):
-        solve_break_even(plain_fit(a=1e-9, b=1e-3, c=1e-15, d=0.0), NO_TERMS)
+    with pytest.raises(NoCrossingError, match="already cheaper at n = 2"):
+        solve_break_even(gain_of(nlogn(1e-9, 1e-3), linear(1e-15, 0.0)))
     # host cheaper across the entire search range
-    with pytest.raises(NoCrossingError):
-        solve_break_even(
-            plain_fit(a=1e-15, b=0.0, c=0.0, d=0.0),
-            DeviceTerms(launch=1.0, kernel_rate=0.0, post_rate=0.0, k=0),
-        )
+    with pytest.raises(NoCrossingError, match="do not cross"):
+        solve_break_even(gain_of(nlogn(1e-15, 0.0), linear(0.0, 1.0)))
 
 
 # --- measured sweeps --------------------------------------------------------
@@ -203,5 +211,9 @@ def test_validate_break_even_relative_error():
     # host n*1e-5 meets a flat 1e-3 device at exactly n = 100
     sweep = [(50, 5e-4, 1e-3), (150, 1.5e-3, 1e-3)]
     assert measured_crossover(sweep) == pytest.approx(100.0, rel=1e-12)
-    assert validate_break_even(100.0, sweep) == pytest.approx(0.0, abs=1e-12)
-    assert validate_break_even(50.0, sweep) == pytest.approx(0.5, rel=1e-12)
+    assert validate_break_even(100.0, sweep).relative_error == pytest.approx(0.0, abs=1e-12)
+    be = validate_break_even(50.0, sweep)
+    assert isinstance(be, BreakEven)
+    assert be.n_star == 50.0
+    assert be.measured_n_star == pytest.approx(100.0, rel=1e-12)
+    assert be.relative_error == pytest.approx(0.5, rel=1e-12)

@@ -7,8 +7,8 @@ import math
 import pytest
 
 from golp.cli import build_parser, load_run_config, main
-from golp.device import DEFAULT_MODELED_PROFILE
-from golp.gate import DEFAULT_CPU_MODEL, estimate_cpu_cost
+from golp.device import DEFAULT_MODELED_PROFILE, OP_TOPK
+from golp.gate import DEFAULT_CPU_MODEL, DEVICE, HOST, GateConfig, decide, estimate_cpu_cost
 from golp.store import load_table
 
 EXPORTED_FILES = (
@@ -78,7 +78,7 @@ def test_modeled_bench_exports_everything_and_solves_the_crossover(tmp_path, cap
     for name in EXPORTED_FILES:
         assert (out / name).is_file(), name
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-    assert summary["n_star"] == pytest.approx(134_517.6105504632, rel=1e-6)
+    assert summary["n_star"] == pytest.approx(134_527.38081520796, rel=1e-6)
     assert summary["breakeven_error"] <= 1e-3
     assert summary["fits"]["a"] == pytest.approx(1.2e-10, rel=1e-9)
     assert summary["fits"]["c"] == pytest.approx(4.8e-10, rel=1e-9)
@@ -86,8 +86,18 @@ def test_modeled_bench_exports_everything_and_solves_the_crossover(tmp_path, cap
     assert summary["fits"]["r2_tx"] == pytest.approx(1.0, abs=1e-9)
     assert set(summary["strategies"]) == {"host_only", "device_always", "gated"}
     stdout = capsys.readouterr().out
-    assert "n_star=134517.6" in stdout
+    assert "n_star=134527.4" in stdout
     assert stdout.count("wrote") == len(EXPORTED_FILES)
+
+
+def test_modeled_bench_n_star_is_where_decide_flips(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert run_cli("bench", "--config", cfg, "--backend", "modeled", "--out", out) == 0
+    n_star = json.loads((out / "summary.json").read_text(encoding="utf-8"))["n_star"]
+    k, payload_bytes = 100, 16  # the workload's default k and write_config's payload
+    assert decide(GateConfig(), OP_TOPK, math.floor(n_star), k, payload_bytes).path == HOST
+    assert decide(GateConfig(), OP_TOPK, math.ceil(n_star), k, payload_bytes).path == DEVICE
 
 
 def test_modeled_bench_is_byte_identical_across_runs(tmp_path):
@@ -111,7 +121,7 @@ GOLDEN_SHA256 = {
     "fig5_breakeven.csv": "88962139455f03d53102da20e692f258fdf2ff1927ef750cb7c73c3bd534b50a",
     "fig6_transfer.csv": "df8718a069a804da2a5421b06f951649a100f53e170ca9cd54b5873841ca79e8",
     "fig7_e2e.csv": "a1d6fddf7d25381742188bd3d948f090ac4e61c32d086103b7cd4edbdca04cb6",
-    "summary.json": "7325d7b34b8c0d8f76d063739d0c6d5d9ef64a2e30c9404026f3aeec83ed3858",
+    "summary.json": "a06917ae557785aa37895485705835f1923c68fc851edd67fc860fff276fa420",
 }
 
 
@@ -139,7 +149,7 @@ def test_bench_rejects_missing_config_file(tmp_path):
 
 
 def test_modeled_bench_exports_a_crossover_its_grid_does_not_bracket(tmp_path, capsys):
-    # the solved n_star (~134,518) lies past the largest grid size
+    # the solved n_star (~134,527) lies past the largest grid size
     cfg = write_config(tmp_path, workload={
         "n_grid": [1_000, 10_000, 100_000], "repeats": 2, "payload_bytes": 16})
     out = tmp_path / "run"
@@ -147,7 +157,7 @@ def test_modeled_bench_exports_a_crossover_its_grid_does_not_bracket(tmp_path, c
     for name in EXPORTED_FILES:
         assert (out / name).is_file(), name
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-    assert summary["n_star"] == pytest.approx(134_517.6105504632, rel=1e-6)
+    assert summary["n_star"] == pytest.approx(134_527.38081520796, rel=1e-6)
     assert summary["breakeven_error"] is None
     assert "never becomes device-cheaper" in capsys.readouterr().err
 
@@ -209,7 +219,7 @@ def test_fit_solves_from_plain_curves(tmp_path, capsys):
         "n_star", "measured_n_star", "relative_error",
     }
     assert doc["a"] == pytest.approx(1.2e-10, rel=1e-9)
-    assert doc["n_star"] == pytest.approx(134_517.6105504632, rel=1e-6)
+    assert doc["n_star"] == pytest.approx(134_527.38081520796, rel=1e-6)
     assert doc["measured_n_star"] is None
     assert doc["relative_error"] is None
 
@@ -247,6 +257,13 @@ def test_fit_reports_no_crossing_as_fit_failure(tmp_path):
     flat = tmp_path / "flat_cpu.csv"  # shrinking host curve clamps to zero growth
     flat.write_text("1000,0.003\n10000,0.002\n100000,0.001\n", encoding="utf-8")
     assert run_cli("fit", "--cpu", flat, "--tx", tx) == 4
+
+
+def test_fit_rejects_a_flat_transfer_curve(tmp_path):
+    cpu, _ = write_plain_curves(tmp_path)
+    flat = tmp_path / "flat_tx.csv"  # no per-row cost: no transfer bandwidth to fit
+    flat.write_text("1000,0.0001\n10000,0.0001\n100000,0.0001\n", encoding="utf-8")
+    assert run_cli("fit", "--cpu", cpu, "--tx", flat) == 4
 
 
 def test_fit_rejects_unbracketable_sweep(tmp_path):

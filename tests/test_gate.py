@@ -22,6 +22,7 @@ from golp.gate import (
     OP_FULL_SORT,
     CpuCostModel,
     GateConfig,
+    break_even_n,
     calibrate_cpu_model,
     decide,
     estimate_cpu_cost,
@@ -95,6 +96,29 @@ def test_default_gain_values_at_story_sizes():
     }
     for n, gain in expected.items():
         assert decide(cfg, OP_TOPK, n, k=100).gain == pytest.approx(gain, rel=1e-6)
+
+
+def test_break_even_n_is_where_decide_flips_on_a_proxy_like_config():
+    # a slower host, a slower link and a d2h phase that costs more than the
+    # h2d of a few thousand rows
+    profile = DeviceProfile(
+        h2d_bandwidth=2e9,
+        d2h_bandwidth=5e6,
+        launch_overhead=300e-6,
+        kernel_rate_topk=2e-9,
+        kernel_rate_probe=2e-9,
+        post_rate=100e-9,
+    )
+    config = GateConfig(
+        cpu_model=CpuCostModel(alpha_sort=3e-9, beta_sort=20e-6, alpha_match=0.0, beta_match=0.0),
+        profile=profile,
+    )
+    n_star = break_even_n(config, 100, payload_bytes=64)
+    assert decide(config, OP_TOPK, math.floor(n_star), 100, payload_bytes=64).path == HOST
+    assert decide(config, OP_TOPK, math.ceil(n_star), 100, payload_bytes=64).path == DEVICE
+    free_d2h = GateConfig(cpu_model=config.cpu_model,
+                          profile=DeviceProfile(**dict(profile.to_json_dict(), d2h_bandwidth=1e15)))
+    assert break_even_n(free_d2h, 100, payload_bytes=64) < n_star - 1.0
 
 
 def test_probe_decision_charges_both_transfer_sides():
