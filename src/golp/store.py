@@ -6,6 +6,15 @@ caps tables at 2**32 - 1 rows. The split matters because the device side of
 this package only ever sees (key, row id) pairs, 12 bytes per entry; payload
 bytes stay on the host until late materialization.
 
+A generated table stores only its keys. Its payload column is a
+SeededPayload: byte j of row r is a splitmix64 hash of (seed, r, j), computed
+only for the rows a caller asks for, so a query pays for the payload bytes of
+the k rows it returns and nothing else. Tables built from arrays (and every
+loaded table) store their payload bytes.
+
+Each table builds its KeyVector once, with read-only row ids, so key
+extraction is free.
+
 Dump format (little-endian): magic b"GOLP", u32 version (currently 1), u64 row
 count, u32 payload width, u64 generator seed, then the key column as raw
 float64 and the payload column as raw bytes.
@@ -13,8 +22,9 @@ float64 and the payload column as raw bytes.
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,28 +46,118 @@ _HEADER = struct.Struct("<4sIQIQ")
 # exactly representable and float comparisons are exact.
 KEY_DOMAIN = 2**53
 
+# Rows per block when a whole generated payload column is built or written:
+# about 12 MB of bytes at the default width, plus its uint64 scratch.
+BLOCK_ROWS = 1 << 16
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _splitmix64(state: np.ndarray) -> np.ndarray:
+    """splitmix64's next output for each uint64 state, computed in place."""
+    state += _GAMMA
+    state ^= state >> np.uint64(30)
+    state *= _MIX1
+    state ^= state >> np.uint64(27)
+    state *= _MIX2
+    state ^= state >> np.uint64(31)
+    return state
+
+
+class SeededPayload:
+    """A read-only (n, width) uint8 payload column that stores no bytes.
+
+    Row r is computed when asked for: h = splitmix64 output r of the stream
+    seeded with seed, then 32-bit word w of the row is the high half of
+    h * m_w, for fixed odd multipliers m_w, stored little-endian. Row r's
+    bytes depend only on (seed, r, width), not on n, so a shorter column is a
+    prefix of a longer one, and they are the same on every platform.
+    """
+
+    def __init__(self, n: int, width: int, seed: int) -> None:
+        if not 0 <= n <= MAX_ROWS:
+            raise ValueError(f"row count {n} is outside 0..2**32 - 1")
+        if width < 1:
+            raise ValueError("payload width must be at least 1 byte")
+        self.shape = (n, width)
+        self._state = np.uint64(seed & MASK64)
+        words = -(-width // 4)
+        self._mult = _splitmix64(np.arange(words, dtype=np.uint64) * _GAMMA) | np.uint64(1)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, index) -> np.ndarray:
+        n = self.shape[0]
+        if isinstance(index, slice):
+            return self._rows(np.arange(*index.indices(n), dtype=np.uint64))
+        if isinstance(index, (int, np.integer)):
+            return self[np.array([index])][0]
+        rows = np.asarray(index)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise IndexError("payload rows take an int, a slice or a 1-D integer array")
+        if rows.size:
+            lo, hi = int(rows.min()), int(rows.max())
+            if lo < -n or hi >= n:
+                raise IndexError(f"row {hi if hi >= n else lo} out of range for {n} rows")
+            if lo < 0:
+                rows = np.where(rows < 0, rows + n, rows)
+        return self._rows(rows.astype(np.uint64))
+
+    def _rows(self, rows: np.ndarray) -> np.ndarray:
+        """Payload bytes of the given row ids; rows is a uint64 scratch array."""
+        rows *= _GAMMA
+        rows += self._state
+        words = _splitmix64(rows)[:, None] * self._mult
+        words >>= np.uint64(32)
+        out = words.astype("<u4").view(np.uint8)
+        return out if out.shape[1] == self.shape[1] else out[:, : self.shape[1]]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a SeededPayload stores no bytes to share")
+        out = np.empty(self.shape, dtype=np.uint8)
+        for start in range(0, len(self), BLOCK_ROWS):
+            out[start : start + BLOCK_ROWS] = self[start : start + BLOCK_ROWS]
+        return out if dtype is None else out.astype(dtype, copy=False)
+
 
 @dataclass
 class ColumnTable:
+    """A key column and a payload column: stored uint8 rows or a SeededPayload.
+
+    The table's KeyVector (read-only keys, read-only row ids 0..n-1) is built
+    here once; its constructor is the table's finite-key check.
+    """
+
     key_column: np.ndarray
-    payload_column: np.ndarray
+    payload_column: np.ndarray | SeededPayload
     seed: int = 0
+    key_vector: KeyVector = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         keys = np.ascontiguousarray(self.key_column, dtype=np.float64)
-        payload = np.ascontiguousarray(self.payload_column, dtype=np.uint8)
-        if payload.ndim != 2:
-            raise ValueError("payload column must be a 2-D byte array")
+        payload = self.payload_column
+        stored = not isinstance(payload, SeededPayload)
+        if stored:
+            payload = np.ascontiguousarray(payload, dtype=np.uint8)
+            if payload.ndim != 2:
+                raise ValueError("payload column must be a 2-D byte array")
         if keys.ndim != 1 or len(keys) != payload.shape[0]:
             raise ValueError("key and payload columns must have equal row counts")
         if len(keys) > MAX_ROWS:
             raise ValueError(f"row count {len(keys)} exceeds the 2**32 - 1 row-id limit")
         if payload.shape[1] < 1:
             raise ValueError("payload width must be at least 1 byte")
-        if len(keys) and not np.isfinite(keys).all():
-            raise ValueError("keys must be finite")
+        rows = np.arange(len(keys), dtype=np.uint32)
+        key_vector = KeyVector(keys=keys, rows=rows)
         keys.setflags(write=False)
-        payload.setflags(write=False)
+        rows.setflags(write=False)
+        if stored:
+            payload.setflags(write=False)
+        object.__setattr__(self, "key_vector", key_vector)
         object.__setattr__(self, "key_column", keys)
         object.__setattr__(self, "payload_column", payload)
 
@@ -121,8 +221,11 @@ def generate_table(
 ) -> ColumnTable:
     """Deterministic synthetic table: same (n, payload_bytes, seed), same bytes.
 
-    Keys are drawn before payloads from a dedicated stream, so the key column
-    for a given (n, seed) does not depend on payload_bytes.
+    Only the key column is drawn and stored (random_keys, its own stream, so
+    it does not depend on payload_bytes). The payload is a SeededPayload,
+    computed per row when rows are read. memory_budget still bounds the
+    table's logical size, n * (8 + payload_bytes): the bytes a full
+    materialization or a dump would hold.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -136,19 +239,15 @@ def generate_table(
             f"table of {n} rows x {KEY_BYTES + payload_bytes} bytes "
             f"({need} bytes) exceeds the {memory_budget}-byte budget"
         )
-    keys = random_keys(n, seed)
-    payload = _rng(seed ^ 0x9E3779B97F4A7C15).integers(
-        0, 256, size=(n, payload_bytes), dtype=np.uint8
+    return ColumnTable(
+        key_column=random_keys(n, seed),
+        payload_column=SeededPayload(n, payload_bytes, seed),
+        seed=seed,
     )
-    return ColumnTable(key_column=keys, payload_column=payload, seed=seed)
 
 
 def random_keys(n: int, seed: int) -> np.ndarray:
-    """The key column generate_table(n, ..., seed) would produce, by itself.
-
-    Lets key-only benchmarks skip payload generation without changing the
-    workload.
-    """
+    """The key column generate_table(n, ..., seed) would produce, by itself."""
     return _rng(seed).integers(0, KEY_DOMAIN, size=n, dtype=np.int64).astype(np.float64)
 
 
@@ -157,9 +256,9 @@ def random_key_vector(n: int, seed: int) -> KeyVector:
 
 
 def extract_keys(table: ColumnTable) -> KeyVector:
-    # Shares the key column (read-only) instead of copying: extraction is free
-    # in a columnar layout, which is the premise of key-only offloading.
-    return KeyVector(keys=table.key_column, rows=np.arange(table.row_count, dtype=np.uint32))
+    # The table's own vector, shared read-only: extraction is free in a
+    # columnar layout, which is the premise of key-only offloading.
+    return table.key_vector
 
 
 def materialize(table: ColumnTable, rows) -> MaterializedResult:
@@ -193,6 +292,7 @@ def key_only_bytes(n: int) -> int:
 
 
 def save_table(table: ColumnTable, path) -> None:
+    """Write a dump; the payload goes out BLOCK_ROWS rows at a time."""
     header = _HEADER.pack(
         TABLE_MAGIC,
         TABLE_VERSION,
@@ -200,26 +300,29 @@ def save_table(table: ColumnTable, path) -> None:
         table.payload_bytes,
         table.seed & MASK64,
     )
+    payload = table.payload_column
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(table.key_column.astype("<f8").tobytes())
-        fh.write(table.payload_column.tobytes())
+        fh.write(table.key_column.astype("<f8", copy=False))
+        for start in range(0, table.row_count, BLOCK_ROWS):
+            fh.write(np.ascontiguousarray(payload[start : start + BLOCK_ROWS]))
 
 
 def load_table(path) -> ColumnTable:
+    """Read a dump: each column is read straight into its own array."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ValueError("truncated table file")
-    magic, version, n, payload_bytes, seed = _HEADER.unpack_from(raw)
-    if magic != TABLE_MAGIC:
-        raise ValueError(f"bad magic {magic!r}")
-    if version != TABLE_VERSION:
-        raise ValueError(f"unsupported version {version}")
-    body = raw[_HEADER.size :]
-    expect = n * KEY_BYTES + n * payload_bytes
-    if len(body) != expect:
-        raise ValueError(f"table body is {len(body)} bytes, expected {expect}")
-    keys = np.frombuffer(body[: n * KEY_BYTES], dtype="<f8").astype(np.float64)
-    payload = np.frombuffer(body[n * KEY_BYTES :], dtype=np.uint8).reshape(n, payload_bytes)
-    return ColumnTable(key_column=keys, payload_column=payload.copy(), seed=seed)
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError("truncated table file")
+        magic, version, n, payload_bytes, seed = _HEADER.unpack(head)
+        if magic != TABLE_MAGIC:
+            raise ValueError(f"bad magic {magic!r}")
+        if version != TABLE_VERSION:
+            raise ValueError(f"unsupported version {version}")
+        body = os.fstat(fh.fileno()).st_size - _HEADER.size
+        expect = n * KEY_BYTES + n * payload_bytes
+        if body != expect:
+            raise ValueError(f"table body is {body} bytes, expected {expect}")
+        keys = np.fromfile(fh, dtype="<f8", count=n)
+        payload = np.fromfile(fh, dtype=np.uint8, count=n * payload_bytes)
+    return ColumnTable(key_column=keys, payload_column=payload.reshape(n, payload_bytes), seed=seed)
