@@ -13,9 +13,10 @@ each of which owns the clock that times a query:
 Byte counts are always computed from the call shape, never measured, so both
 backends report identical ``h2d_bytes``/``d2h_bytes`` for identical calls. A
 key-only call ships 12 bytes per entry; a full-row call ships
-(8 + payload_bytes) per row. Post-processing time is attributed to the
-device-call ledger even though it runs on the host: the offload path's
-end-to-end cost includes turning returned row ids back into rows.
+(8 + payload_bytes) per row, each side of a join at its own table's width.
+Post-processing time is attributed to the device-call ledger even though it
+runs on the host: the offload path's end-to-end cost includes turning
+returned row ids back into rows.
 """
 
 from __future__ import annotations
@@ -77,16 +78,17 @@ class OpSpec:
     returned_row_bytes: Optional[int]
     joins: bool  # the query's tables are (build, probe) and it returns matches
 
-    def shape(self, tables) -> tuple[int, int, int]:
-        """(n, build_n, payload_bytes) of a query's tables.
+    def shape(self, tables) -> tuple[int, int, int, Optional[int]]:
+        """(n, build_n, payload_bytes, build_payload_bytes) of a query's tables.
 
-        A join's tables are (build, probe): n is the probe side, and its
-        payload width is the one a full-row transfer ships.
+        A join's tables are (build, probe): n and payload_bytes are the probe
+        side's, build_n and build_payload_bytes the build side's. A
+        single-table op has no build side: (n, 0, payload_bytes, None).
         """
         if self.joins:
             build, probe = tables
-            return probe.row_count, build.row_count, probe.payload_bytes
-        return tables.row_count, 0, tables.payload_bytes
+            return probe.row_count, build.row_count, probe.payload_bytes, build.payload_bytes
+        return tables.row_count, 0, tables.payload_bytes, None
 
     def returned(self, n: int, k: int) -> int:
         """Rows a device call returns: min(k, n) for a Top-K, k matches for a join."""
@@ -195,6 +197,16 @@ def transfer_entry_bytes(mode: str, payload_bytes: Optional[int]) -> int:
     raise ValueError(f"unknown transfer mode {mode!r}")
 
 
+def _h2d_bytes(
+    mode: str, n: int, payload_bytes: Optional[int], build_n: int, build_payload_bytes: Optional[int]
+) -> int:
+    """Bytes a call ships to the device: n rows, then build_n build rows, each at its own width."""
+    h2d_bytes = transfer_entry_bytes(mode, payload_bytes) * n
+    if build_n:
+        h2d_bytes += transfer_entry_bytes(mode, build_payload_bytes) * build_n
+    return h2d_bytes
+
+
 def estimate_device_cost(
     op: str,
     n: int,
@@ -202,22 +214,25 @@ def estimate_device_cost(
     mode: str = KEY_ONLY,
     payload_bytes: Optional[int] = None,
     profile: DeviceProfile = DEFAULT_MODELED_PROFILE,
+    build_n: int = 0,
+    build_payload_bytes: Optional[int] = None,
 ) -> TransferLedger:
     """Predicted ledger of a device call over n rows; exact for the modeled backend.
 
-    For a Top-K, k is the requested count. For a probe, n counts both sides
-    of the join and k is the match count: the gate's expected count, or the
-    true one in a modeled call.
+    For a Top-K, k is the requested count. For a probe, n and payload_bytes
+    are the probe side's, build_n and build_payload_bytes the build side's;
+    the kernel sees both sides. k is the match count: the gate's expected
+    count, or the true one in a modeled call.
     """
     spec = op_spec(op, on_device=True)
     returned = spec.returned(n, k)
-    h2d_bytes = transfer_entry_bytes(mode, payload_bytes) * n
+    h2d_bytes = _h2d_bytes(mode, n, payload_bytes, build_n, build_payload_bytes)
     d2h_bytes = spec.returned_row_bytes * returned
     return TransferLedger.build(
         h2d_bytes=h2d_bytes,
         d2h_bytes=d2h_bytes,
         t_h2d=h2d_bytes / profile.h2d_bandwidth,
-        t_kernel=profile.launch_overhead + getattr(profile, spec.kernel_rate) * n,
+        t_kernel=profile.launch_overhead + getattr(profile, spec.kernel_rate) * (n + build_n),
         t_d2h=d2h_bytes / profile.d2h_bandwidth,
         t_post=profile.post_rate * returned,
     )
@@ -275,11 +290,13 @@ class ModeledDevice(_Device):
         probe: KeyVector,
         mode: str = KEY_ONLY,
         payload_bytes: Optional[int] = None,
+        build_payload_bytes: Optional[int] = None,
     ) -> DeviceCallResult:
+        """Join probe; payload_bytes is the probe table's width, build_payload_bytes the build's."""
         payload = host_hash_probe(host_hash_build(build), probe)
         ledger = estimate_device_cost(
-            OP_PROBE, len(build) + len(probe), payload.match_count, mode, payload_bytes,
-            self.profile,
+            OP_PROBE, len(probe), payload.match_count, mode, payload_bytes, self.profile,
+            build_n=len(build), build_payload_bytes=build_payload_bytes,
         )
         return DeviceCallResult(payload=payload, ledger=ledger)
 
@@ -334,17 +351,18 @@ class ProxyDevice(_Device):
         return tuple(np.concatenate(column) for column in zip(*parts))
 
     @staticmethod
-    def _h2d(vectors: Sequence[KeyVector], mode: str, payload_bytes: Optional[int]):
+    def _h2d(vectors: Sequence[KeyVector], mode: str, h2d_bytes: int):
         """Device copies of each vector's keys and of its rows, and the h2d window.
 
-        Only the accounted bytes are copied inside the timed window; in
-        full-row mode row ids ride along as unaccounted plumbing.
+        Only the h2d_bytes accounted are copied inside the timed window; in
+        full-row mode row ids ride along as unaccounted plumbing, and the
+        payload bytes are what the keys leave of h2d_bytes.
         """
         if mode == FULL_ROW:
             rows = [v.rows.copy() for v in vectors]
             t0 = wall_clock()
             keys = [v.keys.copy() for v in vectors]
-            np.empty(sum(map(len, vectors)) * int(payload_bytes), dtype=np.uint8).copy()
+            np.empty(h2d_bytes - KEY_BYTES * sum(map(len, vectors)), dtype=np.uint8).copy()
         else:
             t0 = wall_clock()
             keys = [v.keys.copy() for v in vectors]
@@ -361,8 +379,8 @@ class ProxyDevice(_Device):
         if k < 1:
             raise ValueError("k must be at least 1")
         n = len(keys)
-        entry = transfer_entry_bytes(mode, payload_bytes)
-        (dev_keys,), (dev_rows,), t0, t1 = self._h2d([keys], mode, payload_bytes)
+        h2d_bytes = transfer_entry_bytes(mode, payload_bytes) * n
+        (dev_keys,), (dev_rows,), t0, t1 = self._h2d([keys], mode, h2d_bytes)
 
         candidates = self._scan(
             n, max(4 * k, 4096),
@@ -377,7 +395,7 @@ class ProxyDevice(_Device):
         payload = TopKResult(rows=returned_rows)
         t4 = wall_clock()
 
-        ledger = _measured_ledger(OP_TOPK, entry * n, len(returned_rows), (t0, t1, t2, t3, t4))
+        ledger = _measured_ledger(OP_TOPK, h2d_bytes, len(returned_rows), (t0, t1, t2, t3, t4))
         return DeviceCallResult(payload=payload, ledger=ledger)
 
     def probe(
@@ -386,11 +404,12 @@ class ProxyDevice(_Device):
         probe: KeyVector,
         mode: str = KEY_ONLY,
         payload_bytes: Optional[int] = None,
+        build_payload_bytes: Optional[int] = None,
     ) -> DeviceCallResult:
-        n_total = len(build) + len(probe)
-        entry = transfer_entry_bytes(mode, payload_bytes)
+        """Join probe; payload_bytes is the probe table's width, build_payload_bytes the build's."""
+        h2d_bytes = _h2d_bytes(mode, len(probe), payload_bytes, len(build), build_payload_bytes)
         (dev_build_keys, dev_probe_keys), (dev_build_rows, dev_probe_rows), t0, t1 = self._h2d(
-            [build, probe], mode, payload_bytes
+            [build, probe], mode, h2d_bytes
         )
 
         # the build runs on the calling thread; the pool threads only scan it
@@ -410,7 +429,7 @@ class ProxyDevice(_Device):
         t4 = wall_clock()
 
         ledger = _measured_ledger(
-            OP_PROBE, entry * n_total, payload.match_count, (t0, t1, t2, t3, t4)
+            OP_PROBE, h2d_bytes, payload.match_count, (t0, t1, t2, t3, t4)
         )
         return DeviceCallResult(payload=payload, ledger=ledger)
 

@@ -133,16 +133,18 @@ def estimate_costs(
     k: int = 1,
     payload_bytes: Optional[int] = None,
     build_n: int = 0,
+    build_payload_bytes: Optional[int] = None,
 ) -> tuple[float, float]:
     """(host, device) cost estimates of one query: the pair decide compares.
 
     For probes, n is the probe-side row count (the cpu model's input) and
-    build_n the build side, so the device estimate covers both transfers.
-    Single-table ops have no build side.
+    build_n the build side, so the device estimate covers both transfers,
+    each at its own table's payload width. Single-table ops have no build
+    side.
     """
     c_cpu = estimate_cpu_cost(config.cpu_model, op, n, k)
     c_gpu = estimate_device_cost(
-        op, n + build_n, k, config.mode, payload_bytes, config.profile
+        op, n, k, config.mode, payload_bytes, config.profile, build_n, build_payload_bytes
     ).total
     return c_cpu, c_gpu
 
@@ -154,10 +156,11 @@ def decide(
     k: int = 1,
     payload_bytes: Optional[int] = None,
     build_n: int = 0,
+    build_payload_bytes: Optional[int] = None,
 ) -> GateDecision:
     """Pure decision rule: guard first, then strict gain > margin."""
     guard = config.min_n_guard is not None and n < config.min_n_guard
-    c_cpu, c_gpu = estimate_costs(config, op, n, k, payload_bytes, build_n)
+    c_cpu, c_gpu = estimate_costs(config, op, n, k, payload_bytes, build_n, build_payload_bytes)
     gain = c_cpu - c_gpu
     path = DEVICE if (not guard and gain > config.margin_s) else HOST
     return GateDecision(
@@ -209,8 +212,9 @@ def _run_query(tables, spec: OpSpec, k: int, config: GateConfig, device, path: s
         probe_keys = extract_keys(probe_table)
         if path == DEVICE:
             call = device.probe(
-                build_keys, probe_keys,
-                mode=config.mode, payload_bytes=probe_table.payload_bytes,
+                build_keys, probe_keys, mode=config.mode,
+                payload_bytes=probe_table.payload_bytes,
+                build_payload_bytes=build_table.payload_bytes,
             )
             return call.payload, call.ledger
         return host_hash_probe(host_hash_build(build_keys), probe_keys), None
@@ -227,8 +231,8 @@ def execute_gated(tables, op: str, k: int, config: GateConfig, device=None):
     """Decide, then run the chosen path; returns (result, decision, latency)."""
     if device is None:
         device = ModeledDevice(config.profile)
-    n, build_n, payload_bytes = op_spec(op).shape(tables)
-    decision = decide(config, op, n, k, payload_bytes, build_n)
+    n, build_n, payload_bytes, build_payload_bytes = op_spec(op).shape(tables)
+    decision = decide(config, op, n, k, payload_bytes, build_n, build_payload_bytes)
     result, observed = execute_path(tables, op, k, config, device, decision.path)
     return result, decision, observed
 

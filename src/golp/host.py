@@ -9,8 +9,10 @@ device runs the same two steps, a selection per chunk and one merge.
 
 The join keeps the host_hash_build/host_hash_probe names of a hash join, but
 its build side is a sorted index: the build keys' bits in a stable ascending
-order. A probe key's matches are one run of equal bits, found with two binary
-searches, so a join is O((b + p) log b + matches) in vectorized numpy.
+order. A probe key's matches are one run of equal bits. The probe sorts its
+key bits first and finds every run with two binary searches over the sorted
+keys, which walk the index in order instead of at random, so a probe is
+O(p log p + p log b + matches) in vectorized numpy, after an O(b log b) build.
 """
 
 from __future__ import annotations
@@ -83,9 +85,21 @@ class BuildIndex:
     rows: np.ndarray
 
     def match(self, probe_bits: np.ndarray, probe_rows: np.ndarray):
-        """(probe rows, build rows) of every equal-key pair, probe order first."""
-        lo = np.searchsorted(self.bits, probe_bits, side="left")
-        counts = np.searchsorted(self.bits, probe_bits, side="right") - lo
+        """(probe rows, build rows) of every equal-key pair, probe order first.
+
+        The probe bits are searched in ascending order, where each binary
+        search starts from the previous answer, and each probe key's run of
+        build keys (its first position and its length) is scattered back to
+        its own position, so equal probe keys need no stable order.
+        O(p log p + p log b + matches).
+        """
+        order = np.argsort(probe_bits)
+        needles = probe_bits[order]
+        lo = np.empty(len(order), dtype=np.intp)
+        counts = np.empty(len(order), dtype=np.intp)
+        lo[order] = np.searchsorted(self.bits, needles, side="left")
+        counts[order] = np.searchsorted(self.bits, needles, side="right")
+        counts -= lo
         ends = np.cumsum(counts)
         # position of each match inside its probe key's run of equal build keys
         offsets = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)

@@ -92,7 +92,7 @@ class SeededPayload:
     def __getitem__(self, index) -> np.ndarray:
         n = self.shape[0]
         if isinstance(index, slice):
-            return self._rows(np.arange(*index.indices(n), dtype=np.uint64))
+            return self.rows(np.arange(*index.indices(n)))
         if isinstance(index, (int, np.integer)):
             return self[np.array([index])][0]
         rows = np.asarray(index)
@@ -104,13 +104,18 @@ class SeededPayload:
                 raise IndexError(f"row {hi if hi >= n else lo} out of range for {n} rows")
             if lo < 0:
                 rows = np.where(rows < 0, rows + n, rows)
-        return self._rows(rows.astype(np.uint64))
+        return self.rows(rows)
 
-    def _rows(self, rows: np.ndarray) -> np.ndarray:
-        """Payload bytes of the given row ids; rows is a uint64 scratch array."""
-        rows *= _GAMMA
-        rows += self._state
-        words = _splitmix64(rows)[:, None] * self._mult
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """Payload bytes of row ids the caller has checked to lie in 0..n-1.
+
+        materialize checks its ids once and calls this; indexing checks them
+        itself first.
+        """
+        state = ids.astype(np.uint64)
+        state *= _GAMMA
+        state += self._state
+        words = _splitmix64(state)[:, None] * self._mult
         words >>= np.uint64(32)
         out = words.astype("<u4").view(np.uint8)
         return out if out.shape[1] == self.shape[1] else out[:, : self.shape[1]]
@@ -274,10 +279,12 @@ def materialize(table: ColumnTable, rows) -> MaterializedResult:
                 f"for table of {table.row_count} rows"
             )
     row_arr = row_arr.astype(np.uint32)
+    payload = table.payload_column
     return MaterializedResult(
         row_ids=row_arr,
         keys=table.key_column[row_arr],
-        payloads=table.payload_column[row_arr],
+        # the ids are checked above, so a seeded column does not check them again
+        payloads=payload.rows(row_arr) if isinstance(payload, SeededPayload) else payload[row_arr],
     )
 
 

@@ -235,6 +235,25 @@ def test_proxy_probe_matches_host_multi_chunk():
     assert res.payload.probe_count == len(probe)
 
 
+def test_proxy_probe_chunk_boundary_splits_a_run_of_equal_probe_keys():
+    # Probe keys in runs of 410 equal keys, the runs in shuffled key order,
+    # so each chunk boundary falls inside a run and the two halves of that
+    # run are sorted and searched by different chunks; row ids are shuffled
+    # on both sides.
+    rng = np.random.default_rng(14)
+    build = KeyVector(keys=rng.integers(0, 40, size=200).astype(np.float64),
+                      rows=rng.permutation(200).astype(np.uint32))
+    probe = KeyVector(keys=np.repeat(rng.permutation(40), 410)[:16_384].astype(np.float64),
+                      rows=rng.permutation(16_384).astype(np.uint32))
+    with ProxyDevice(workers=4) as dev:
+        spans = dev._chunk_bounds(len(probe), floor=4096)
+        assert len(spans) == 4
+        assert all(probe.keys[lo - 1] == probe.keys[lo] for lo, _ in spans[1:])
+        res = dev.probe(build, probe)
+    assert res.payload.matches == oracle_join_outer(build.keys, build.rows, probe.keys, probe.rows)
+    assert res.payload.probe_count == len(probe)
+
+
 def test_proxy_and_modeled_account_identical_bytes():
     keys = random_key_vector(8_192, 8)
     dev = ProxyDevice(workers=2)

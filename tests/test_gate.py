@@ -12,6 +12,7 @@ from golp.device import (
     OP_TOPK,
     DeviceProfile,
     ModeledDevice,
+    ProxyDevice,
     estimate_device_cost,
 )
 from golp.errors import CalibrationError
@@ -30,7 +31,7 @@ from golp.gate import (
     execute_path,
     with_margin,
 )
-from golp.store import generate_table
+from golp.store import extract_keys, generate_table
 
 # Flat-cost construction: the host always costs 10 ms, the device ~4 ms, so
 # the gain is ~6 ms at every n and the margin alone decides the path.
@@ -126,6 +127,25 @@ def test_probe_decision_charges_both_transfer_sides():
     expect_gpu = estimate_device_cost(OP_PROBE, 10_000, 3, profile=FLAT_DEVICE).total
     assert d.c_gpu_est == expect_gpu
     assert d.c_cpu_est == estimate_cpu_cost(FLAT_CPU, OP_PROBE, 1_000, 3)
+
+
+def test_full_row_probe_bills_each_side_at_its_own_width():
+    build = generate_table(3_000, 8, seed=6)
+    probe = generate_table(5_000, 188, seed=7)
+    expect = (8 + 8) * 3_000 + (8 + 188) * 5_000
+    cfg = GateConfig(mode=FULL_ROW)
+    profile = cfg.profile
+    _, decision, _ = execute_gated((build, probe), OP_PROBE, 0, cfg)
+    assert decision.c_gpu_est == pytest.approx(
+        expect / profile.h2d_bandwidth
+        + profile.launch_overhead + profile.kernel_rate_probe * 8_000, rel=1e-12)
+    result, latency = execute_path((build, probe), OP_PROBE, 0, cfg, ModeledDevice(profile), DEVICE)
+    assert result.match_count == 0 and latency == decision.c_gpu_est
+    for device in (ModeledDevice(profile), ProxyDevice(workers=2)):
+        with device:
+            ledger = device.probe(extract_keys(build), extract_keys(probe), mode=FULL_ROW,
+                                  payload_bytes=188, build_payload_bytes=8).ledger
+        assert ledger.h2d_bytes == expect
 
 
 def test_cpu_cost_formulas():

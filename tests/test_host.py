@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from golp.device import ProxyDevice
@@ -136,6 +136,34 @@ def test_probe_matches_nested_loop_oracle():
         pr = rng.permutation(npr).astype(np.uint32)
         got = host_hash_probe(host_hash_build(kv(bk, br)), kv(pk, pr)).matches
         assert got == oracle_join_loop(bk, br, pk, pr)
+
+
+# Build keys in [-3, 3] and probe keys in [-6, 6], each with -0.0 and +0.0:
+# probes fall below the smallest and above the largest build key, equal
+# probe keys repeat, and both sides carry shuffled row ids, so an argsort
+# whose order among equal keys leaked into the output would show.
+def _join_keys(bound):
+    return st.integers(-bound, bound).map(float) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    build=st.lists(_join_keys(3), max_size=30),
+    probe=st.lists(_join_keys(6), max_size=120),
+    descending=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(build=[2.0, -0.0, -1.0, 0.0, 2.0], descending=True, seed=1,
+         probe=[6.0, 2.0, 2.0, 0.0, -0.0, 0.0, -1.0, -6.0] * 4)
+def test_probe_property_against_loop_oracle(build, probe, descending, seed):
+    if descending:
+        probe = sorted(probe, reverse=True)
+    rng = np.random.default_rng(seed)
+    build_rows = rng.permutation(len(build))
+    probe_rows = rng.permutation(len(probe))
+    got = host_hash_probe(host_hash_build(kv(build, build_rows)), kv(probe, probe_rows))
+    assert got.matches == oracle_join_loop(build, build_rows, probe, probe_rows)
+    assert got.probe_count == len(probe)
 
 
 def test_vectorized_join_oracle_agrees_with_literal_loop():
