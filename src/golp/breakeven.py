@@ -7,9 +7,11 @@ cost, that the caller supplies; golp.gate.break_even_n hands it the gate's own
 estimates, so n_star is where the gate flips at margin 0. A measured sweep
 validates the solved value.
 
-Fits use closed-form two-parameter least squares (no linear-algebra library),
-so results are bit-reproducible across platforms. The same non-negative line
-fit calibrates the gate's cpu model.
+One closed-form non-negative least-squares fitter, fit_nonneg, serves every
+fit in golp (no linear-algebra library, so results are bit-reproducible
+across platforms). The figure fits weigh residuals absolutely; the gate's
+calibrations (golp.gate.calibrate_cpu_model, golp.device.calibrate_profile)
+weigh them relative to the measured time.
 """
 
 from __future__ import annotations
@@ -55,31 +57,54 @@ class BreakEven:
     relative_error: Optional[float] = None
 
 
-def fit_nonneg_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float, float]:
-    """Least squares (slope, intercept, rss, r2) of ys on {xs, 1}.
+def fit_nonneg(
+    xs: Sequence[float],
+    ys: Sequence[float],
+    *,
+    relative: bool = False,
+    through_origin: bool = False,
+) -> tuple[float, float, float, float]:
+    """Non-negative least squares (slope, intercept, rss, r2) of ys on {xs, 1}.
+
+    Absolute fits minimise sum((fit - y) ** 2). Relative fits minimise
+    sum(((fit - y) / y) ** 2), a 1/y**2 weight per sample, so the smallest
+    size is predicted as well as the largest; samples with y <= 0 carry no
+    relative error and are dropped. rss and r2 use the same weights.
 
     Neither coefficient goes below zero, since both are physical costs: a
     negative slope gives the best non-negative constant, a negative intercept
-    the best line through the origin.
+    the best line through the origin. For non-negative xs that is the exact
+    constrained optimum. through_origin fits {xs} alone; with no usable
+    sample its slope is 0.
     """
-    m = len(xs)
-    xbar = math.fsum(xs) / m
-    ybar = math.fsum(ys) / m
-    sxx = math.fsum((x - xbar) ** 2 for x in xs)
-    if sxx == 0.0:
+    pts = [(float(x), float(y)) for x, y in zip(xs, ys) if not relative or y > 0.0]
+    if not through_origin and len({x for x, _ in pts}) < 2:
         raise CalibrationError("degenerate fit: basis values all equal")
-    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = ybar - slope * xbar
-    if slope < 0.0:
-        slope = 0.0
-        intercept = max(0.0, ybar)
-    elif intercept < 0.0:
-        intercept = 0.0
-        sxy0 = math.fsum(x * y for x, y in zip(xs, ys))
-        slope = max(0.0, sxy0 / math.fsum(x * x for x in xs))
-    rss = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    tss = math.fsum((y - ybar) ** 2 for y in ys)
+    if not pts:
+        return 0.0, 0.0, 0.0, 1.0
+    wxy = [(1.0 / (y * y) if relative else 1.0, x, y) for x, y in pts]
+    sw = math.fsum(w for w, _, _ in wxy)
+    ybar = math.fsum(w * y for w, _, y in wxy) / sw
+
+    def origin_slope() -> float:
+        sxx0 = math.fsum(w * x * x for w, x, _ in wxy)
+        return max(0.0, math.fsum(w * x * y for w, x, y in wxy) / sxx0) if sxx0 else 0.0
+
+    if through_origin:
+        slope, intercept = origin_slope(), 0.0
+    else:
+        xbar = math.fsum(w * x for w, x, _ in wxy) / sw
+        sxx = math.fsum(w * (x - xbar) ** 2 for w, x, _ in wxy)
+        sxy = math.fsum(w * (x - xbar) * (y - ybar) for w, x, y in wxy)
+        slope = sxy / sxx
+        intercept = ybar - slope * xbar
+        if slope < 0.0:
+            slope = 0.0
+            intercept = max(0.0, ybar)
+        elif intercept < 0.0:
+            slope, intercept = origin_slope(), 0.0
+    rss = math.fsum(w * (y - (slope * x + intercept)) ** 2 for w, x, y in wxy)
+    tss = math.fsum(w * (y - ybar) ** 2 for w, _, y in wxy)
     if tss == 0.0:
         r2 = 1.0 if rss <= 1e-300 else -math.inf
     else:
@@ -87,34 +112,22 @@ def fit_nonneg_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, fl
     return slope, intercept, rss, r2
 
 
-def _fit_on_basis(points: Sequence[tuple[float, float]], basis) -> tuple[float, float, float, float]:
-    if len(points) < 2:
-        raise CalibrationError("fit needs at least 2 points")
-    ns = [float(n) for n, _ in points]
-    if len(set(ns)) < 2:
-        raise CalibrationError("degenerate fit: all n equal")
-    return fit_nonneg_line([basis(n) for n in ns], [float(s) for _, s in points])
-
-
-def fit_nlogn(points: Sequence[tuple[float, float]]) -> tuple[float, float, float, float]:
-    """Non-negative least squares of seconds on {n*log2(n), 1}. Returns (a, b, rss, r2)."""
-    for n, _ in points:
-        if n < 2:
-            raise CalibrationError("fit_nlogn needs all n >= 2")
-    return _fit_on_basis(points, lambda n: n * math.log2(n))
-
-
-def fit_linear(points: Sequence[tuple[float, float]]) -> tuple[float, float, float, float]:
-    """Non-negative least squares of seconds on {n, 1}. Returns (c, d, rss, r2)."""
-    return _fit_on_basis(points, lambda n: n)
-
-
 def make_fit_result(
     cpu_points: Sequence[tuple[float, float]],
     tx_points: Sequence[tuple[float, float]],
 ) -> FitResult:
-    a, b, rss_cpu, r2_cpu = fit_nlogn(cpu_points)
-    c, d, rss_tx, r2_tx = fit_linear(tx_points)
+    """Absolute fits of seconds on {n*log2(n), 1} (host) and {n, 1} (transfer).
+
+    Each curve needs at least 2 distinct n, and the host basis needs n >= 2.
+    """
+    for points in (cpu_points, tx_points):
+        if len({float(n) for n, _ in points}) < 2:
+            raise CalibrationError("fit needs at least 2 distinct n")
+    if any(n < 2 for n, _ in cpu_points):
+        raise CalibrationError("the n*log2(n) basis needs all n >= 2")
+    a, b, rss_cpu, r2_cpu = fit_nonneg([n * math.log2(n) for n, _ in cpu_points],
+                                       [s for _, s in cpu_points])
+    c, d, rss_tx, r2_tx = fit_nonneg([n for n, _ in tx_points], [s for _, s in tx_points])
     return FitResult(a=a, b=b, c=c, d=d, rss_cpu=rss_cpu, rss_tx=rss_tx,
                      r2_cpu=r2_cpu, r2_tx=r2_tx)
 

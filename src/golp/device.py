@@ -30,6 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .breakeven import fit_nonneg
 from .errors import CalibrationError
 from .host import (
     ProbeResult,
@@ -456,44 +457,6 @@ def make_device(backend: str, profile: DeviceProfile = DEFAULT_MODELED_PROFILE,
     raise ValueError(f"unknown backend {backend!r}")
 
 
-# The fits below minimise relative residuals, sum(((fit - y) / y) ** 2), so a
-# phase is predicted as well at the smallest size as at the largest; absolute
-# least squares lets the largest size's seconds decide alone. Samples whose
-# time is not positive carry no relative error and are left out.
-
-
-def _origin_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Relative least-squares slope of y = slope * x; 0.0 when nothing is usable."""
-    u = x[y > 0.0] / y[y > 0.0]
-    denom = float(np.dot(u, u))
-    if denom == 0.0:
-        return 0.0
-    return float(u.sum()) / denom
-
-
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Relative least-squares (slope, intercept) of y = slope * x + intercept.
-
-    Both coefficients are kept non-negative: when the free fit gives a
-    negative one, the better of the two one-coefficient fits is used.
-    """
-    keep = y > 0.0
-    if len(np.unique(x[keep])) < 2:
-        raise CalibrationError("degenerate fit: all sample sizes are equal")
-    u, v = x[keep] / y[keep], 1.0 / y[keep]
-    suu, suv, svv = float(np.dot(u, u)), float(np.dot(u, v)), float(np.dot(v, v))
-    su, sv = float(u.sum()), float(v.sum())
-    det = suu * svv - suv * suv
-    slope, intercept = (su * svv - sv * suv) / det, (sv * suu - su * suv) / det
-    if slope >= 0.0 and intercept >= 0.0:
-        return slope, intercept
-
-    def loss(fit: tuple[float, float]) -> float:
-        return float(np.sum((fit[0] * u + fit[1] * v - 1.0) ** 2))
-
-    return min(((su / suu, 0.0), (0.0, sv / svv)), key=loss)
-
-
 def calibrate_profile(
     samples: Sequence[tuple[int, TransferLedger]],
     op: str = OP_TOPK,
@@ -504,44 +467,46 @@ def calibrate_profile(
     samples: (n, ledger) pairs where n is the element count the kernel saw
     (both sides combined for probes). Needs >= 3 distinct n. Bandwidths come
     from through-origin fits of bytes against time, launch and kernel rate
-    from a non-negative line fit of t_kernel against n, post rate from
-    returned rows against t_post; every fit weighs residuals relative to the
-    measured time. kernel_rate_probe falls back to kernel_rate_topk when no
+    from a line fit of t_kernel against n, post rate from returned rows
+    against t_post. Every fit is breakeven.fit_nonneg with relative=True,
+    the rule calibrate_cpu_model uses too: residuals are weighed relative to
+    the measured time, so the smallest size is predicted as well as the
+    largest. The d2h bandwidth falls back to the h2d one when no sample
+    returned bytes. kernel_rate_probe falls back to kernel_rate_topk when no
     probe samples are given (and vice versa).
     """
     spec = op_spec(op, on_device=True)
     if len({int(n) for n, _ in samples}) < 3:
         raise CalibrationError("calibration needs at least 3 distinct n values")
 
-    n_arr = np.array([float(n) for n, _ in samples])
     ledgers = [led for _, led in samples]
-    h2d_b = np.array([led.h2d_bytes for led in ledgers], dtype=np.float64)
-    t_h2d = np.array([led.t_h2d for led in ledgers])
-    d2h_b = np.array([led.d2h_bytes for led in ledgers], dtype=np.float64)
-    t_d2h = np.array([led.t_d2h for led in ledgers])
-    t_kern = np.array([led.t_kernel for led in ledgers])
-    t_post = np.array([led.t_post for led in ledgers])
 
-    h2d_slope = _origin_slope(h2d_b, t_h2d)
+    h2d_slope, _, _, _ = fit_nonneg([led.h2d_bytes for led in ledgers],
+                                    [led.t_h2d for led in ledgers],
+                                    relative=True, through_origin=True)
     if h2d_slope <= 0.0:
         raise CalibrationError("cannot fit h2d bandwidth: no usable transfer samples")
     h2d_bw = 1.0 / h2d_slope
 
-    d2h_slope = _origin_slope(d2h_b, t_d2h)
+    d2h_slope, _, _, _ = fit_nonneg([led.d2h_bytes for led in ledgers],
+                                    [led.t_d2h for led in ledgers],
+                                    relative=True, through_origin=True)
     d2h_bw = (1.0 / d2h_slope) if d2h_slope > 0.0 else h2d_bw
 
-    rate, launch = _line_fit(n_arr, t_kern)
+    rate, launch, _, _ = fit_nonneg([n for n, _ in samples], [led.t_kernel for led in ledgers],
+                                    relative=True)
     rate = max(rate, _TINY_RATE)
     launch = max(launch, _TINY_RATE)
 
-    rows = d2h_b / spec.returned_row_bytes
-    post_rate = max(_origin_slope(rows, t_post), _TINY_RATE)
+    post_slope, _, _, _ = fit_nonneg([led.d2h_bytes / spec.returned_row_bytes for led in ledgers],
+                                     [led.t_post for led in ledgers],
+                                     relative=True, through_origin=True)
+    post_rate = max(post_slope, _TINY_RATE)
 
     if probe_samples:
-        pn = np.array([float(n) for n, _ in probe_samples])
-        pk = np.array([led.t_kernel for _, led in probe_samples])
-        other_rate, _ = _line_fit(pn, pk)
-        other_rate = max(other_rate, _TINY_RATE)
+        probe_rate, _, _, _ = fit_nonneg([n for n, _ in probe_samples],
+                                         [led.t_kernel for _, led in probe_samples], relative=True)
+        other_rate = max(probe_rate, _TINY_RATE)
     else:
         other_rate = rate
     kernel_rates = {s.kernel_rate: other_rate for s in OPS.values() if s.kernel_rate}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
-from .breakeven import fit_nonneg_line, solve_break_even
+from .breakeven import fit_nonneg, solve_break_even
 from .device import (  # the OP_* names are re-exported for the gate's callers
     DEFAULT_MODELED_PROFILE,
     KEY_ONLY,
@@ -240,9 +240,11 @@ def execute_gated(tables, op: str, k: int, config: GateConfig, device=None):
 def calibrate_cpu_model(samples: Sequence[tuple]) -> CpuCostModel:
     """Least-squares cpu constants from (op, n, k, measured_seconds) samples.
 
-    Each op family present needs at least 3 distinct n. Coefficients are kept
-    non-negative (breakeven.fit_nonneg_line); a calibration where nothing
-    grows is rejected.
+    Each op family present needs at least 3 distinct n. Each family is fitted
+    by breakeven.fit_nonneg with relative=True, the rule calibrate_profile
+    uses too: residuals are weighed relative to the measured time, so the
+    smallest size is predicted as well as the largest, and the coefficients
+    stay non-negative. A calibration where nothing grows is rejected.
     """
     by_family: dict[str, list[tuple[float, float, float]]] = {}
     for op, n, k, seconds in samples:
@@ -256,8 +258,8 @@ def calibrate_cpu_model(samples: Sequence[tuple]) -> CpuCostModel:
     for family, points in by_family.items():
         if len({int(n) for n, _, _ in points}) < 3:
             raise CalibrationError(f"{family}-family calibration needs >= 3 distinct n")
-        coefficients[f"alpha_{family}"], coefficients[f"beta_{family}"], _, _ = fit_nonneg_line(
-            [x for _, x, _ in points], [y for _, _, y in points]
+        coefficients[f"alpha_{family}"], coefficients[f"beta_{family}"], _, _ = fit_nonneg(
+            [x for _, x, _ in points], [y for _, _, y in points], relative=True
         )
     model = CpuCostModel(**coefficients)
     if model.alpha_sort == 0.0 and model.alpha_match == 0.0:

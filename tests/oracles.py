@@ -1,13 +1,14 @@
 """Independent reference implementations the tests compare against.
 
-Deliberately naive: plain comparison sorts and a literal nested-loop join,
-sharing no code with the package. The vectorized join oracle exists so large
-instances stay affordable; it is itself checked against the literal loop on
-small inputs before anything trusts it.
+Deliberately naive: plain comparison sorts, a literal nested-loop join and a
+face-by-face least-squares search, sharing no code with the package. The
+vectorized join oracle exists so large instances stay affordable; it is itself
+checked against the literal loop on small inputs before anything trusts it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -53,3 +54,36 @@ def oracle_percentile(samples, p: float) -> float:
         if sum(1 for s in samples if s <= x) >= need:
             return x
     raise AssertionError("unreachable for nonempty samples")
+
+
+def oracle_nnls(xs, ys, relative=False, through_origin=False):
+    """(slope, intercept, loss) of the non-negative weighted fit of ys on {xs, 1}.
+
+    Brute force over the faces of the non-negative orthant: np.linalg.lstsq on
+    every subset of the basis, rows scaled by sqrt(weight), keeping the
+    feasible fit with the lowest loss. The weight is 1, or 1/y**2 when
+    relative, which drops samples with y <= 0; through_origin leaves the
+    constant column out.
+    """
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    if relative:
+        x, y = x[y > 0.0], y[y > 0.0]
+    sqrt_w = 1.0 / y if relative else np.ones_like(y)
+    columns = {"slope": x, "intercept": np.ones_like(x)}
+    names = ["slope"] if through_origin else ["slope", "intercept"]
+    best = None
+    for size in range(len(names) + 1):
+        for face in itertools.combinations(names, size):
+            coef = {"slope": 0.0, "intercept": 0.0}
+            if face:
+                a = np.stack([columns[c] * sqrt_w for c in face], axis=1)
+                sol = np.linalg.lstsq(a, y * sqrt_w, rcond=None)[0]
+                if np.any(sol < 0.0):
+                    continue
+                coef.update(zip(face, sol.tolist()))
+            resid = (coef["slope"] * x + coef["intercept"] - y) * sqrt_w
+            loss = float(np.dot(resid, resid))
+            if best is None or loss < best[2]:
+                best = (coef["slope"], coef["intercept"], loss)
+    return best

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from golp.breakeven import fit_linear, fit_nlogn, solve_break_even
+from golp.breakeven import make_fit_result, solve_break_even
 from golp.cli import main
 from golp.device import (
     DEFAULT_MODELED_PROFILE,
@@ -172,7 +172,6 @@ def test_criterion_04_measured_curves_fit_their_bases():
     with ProxyDevice(workers=1) as device:
         scaling = run_scaling_baseline(spec, device)
     cpu_pts = [(float(r.n), r.median_s) for r in scaling if r.op == "full_sort"]
-    _, _, _, r2_cpu = fit_nlogn(cpu_pts)
 
     proxy = ProxyDevice(workers=2)
     tx_pts = []
@@ -186,7 +185,8 @@ def test_criterion_04_measured_curves_fit_their_bases():
             tx_pts.append((float(n), compute_stats(h2d).median))
     finally:
         proxy.close()
-    _, _, _, r2_tx = fit_linear(tx_pts)
+    fit = make_fit_result(cpu_pts, tx_pts)
+    r2_cpu, r2_tx = fit.r2_cpu, fit.r2_tx
 
     elapsed = time.perf_counter() - t0
     assert r2_cpu >= 0.95, f"host full_sort R^2 {r2_cpu:.4f} < 0.95"

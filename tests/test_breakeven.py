@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from golp.breakeven import (
     BreakEven,
-    fit_linear,
-    fit_nlogn,
+    fit_nonneg,
     make_fit_result,
     measured_crossover,
     solve_break_even,
@@ -17,6 +18,8 @@ from golp.breakeven import (
 from golp.device import OP_TOPK
 from golp.errors import CalibrationError, NoCrossingError, SweepBracketError
 from golp.gate import DEVICE, HOST, GateConfig, break_even_n, decide, estimate_costs
+
+from .oracles import oracle_nnls
 
 
 def nlogn(a, b):
@@ -39,11 +42,21 @@ def gain_of(cpu, device):
     return lambda n: cpu(n) - device(n)
 
 
+def on_nlogn_basis(points):
+    """(xs, ys) of (n, seconds) points on the n*log2(n) basis."""
+    return [n * math.log2(n) for n, _ in points], [s for _, s in points]
+
+
+def on_linear_basis(points):
+    return [n for n, _ in points], [s for _, s in points]
+
+
 # --- fitting ----------------------------------------------------------------
 
 
-def test_fit_nlogn_recovers_exact_constants():
-    a, b, rss, r2 = fit_nlogn(nlogn_points(2e-9, 1e-4, [1_000, 10_000, 100_000, 1_000_000]))
+def test_fit_nonneg_recovers_exact_nlogn_constants():
+    a, b, rss, r2 = fit_nonneg(*on_nlogn_basis(
+        nlogn_points(2e-9, 1e-4, [1_000, 10_000, 100_000, 1_000_000])))
     assert a == pytest.approx(2e-9, rel=1e-12)
     assert b == pytest.approx(1e-4, rel=1e-12)
     assert rss < 1e-18
@@ -51,23 +64,24 @@ def test_fit_nlogn_recovers_exact_constants():
 
 
 def test_fit_through_two_points_is_exact():
-    _, _, rss, r2 = fit_nlogn(nlogn_points(5e-10, 2e-6, [100, 200]))
+    _, _, rss, r2 = fit_nonneg(*on_nlogn_basis(nlogn_points(5e-10, 2e-6, [100, 200])))
     assert rss < 1e-20
     assert r2 == pytest.approx(1.0, abs=1e-9)
 
 
-def test_fit_nlogn_tolerates_multiplicative_noise():
+def test_fit_nonneg_tolerates_multiplicative_noise():
     rng = np.random.default_rng(17)
     ns = np.logspace(3, 6, 20)
     pts = [(float(n), (1e-9 * n * math.log2(n) + 1e-5) * float(f))
            for n, f in zip(ns, rng.uniform(0.95, 1.05, size=20))]
-    a, _, _, r2 = fit_nlogn(pts)
+    a, _, _, r2 = fit_nonneg(*on_nlogn_basis(pts))
     assert a == pytest.approx(1e-9, rel=0.10)
     assert r2 > 0.99
 
 
-def test_fit_linear_recovers_exact_constants():
-    c, d, rss, r2 = fit_linear(linear_points(5e-9, 2e-5, [1_000, 5_000, 20_000, 100_000]))
+def test_fit_nonneg_recovers_exact_linear_constants():
+    c, d, rss, r2 = fit_nonneg(*on_linear_basis(
+        linear_points(5e-9, 2e-5, [1_000, 5_000, 20_000, 100_000])))
     assert c == pytest.approx(5e-9, rel=1e-12)
     assert d == pytest.approx(2e-5, rel=1e-12)
     assert rss < 1e-18
@@ -75,7 +89,7 @@ def test_fit_linear_recovers_exact_constants():
 
 
 def test_fit_of_constant_data_is_a_flat_line():
-    c, d, rss, r2 = fit_linear([(10, 7e-4), (100, 7e-4), (1000, 7e-4)])
+    c, d, rss, r2 = fit_nonneg([10, 100, 1000], [7e-4, 7e-4, 7e-4])
     assert c == 0.0
     assert d == 7e-4
     assert rss == 0.0
@@ -83,20 +97,63 @@ def test_fit_of_constant_data_is_a_flat_line():
 
 
 def test_negative_slope_clamps_to_zero():
-    c, d, _, _ = fit_linear([(10, 3e-3), (100, 2e-3), (1000, 1e-3)])
+    c, d, _, _ = fit_nonneg([10, 100, 1000], [3e-3, 2e-3, 1e-3])
     assert c == 0.0
     assert d == pytest.approx(2e-3, rel=1e-12)  # best constant fit: the mean
 
 
 def test_fit_input_validation():
+    tx = linear_points(4e-10, 2e-6, [1_000, 10_000])
     with pytest.raises(CalibrationError):
-        fit_nlogn([(1_000, 1e-3)])  # one point
+        make_fit_result([(1_000, 1e-3)], tx)  # one point
     with pytest.raises(CalibrationError):
-        fit_nlogn([(1_000, 1e-3), (1_000, 2e-3)])  # duplicated n
+        make_fit_result([(1_000, 1e-3), (1_000, 2e-3)], tx)  # duplicated n
     with pytest.raises(CalibrationError):
-        fit_nlogn([(1, 1e-3), (1_000, 2e-3)])  # n*log2(n) basis needs n >= 2
+        make_fit_result([(1, 1e-3), (1_000, 2e-3)], tx)  # n*log2(n) basis needs n >= 2
     with pytest.raises(CalibrationError):
-        fit_linear([])
+        make_fit_result(nlogn_points(2e-9, 1e-5, [1_000, 10_000]), [])
+
+
+_SAMPLE_Y = st.one_of(
+    st.floats(min_value=1e-6, max_value=1.0),
+    st.floats(min_value=-1.0, max_value=-1e-6),
+    st.just(0.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    xs=st.lists(st.integers(min_value=0, max_value=10**6), min_size=2, max_size=8, unique=True),
+    ys=st.lists(_SAMPLE_Y, min_size=8, max_size=8),
+    relative=st.booleans(),
+    through_origin=st.booleans(),
+)
+@example(xs=[10, 100, 1000], ys=[3e-3, 2e-3, 1e-3] + [0.0] * 5,  # decreasing
+         relative=False, through_origin=False)
+@example(xs=[10, 100, 1000], ys=[3e-3, 2e-3, 1e-3] + [0.0] * 5,
+         relative=True, through_origin=False)
+@example(xs=[1, 2, 3], ys=[0.1, 2.0, 3.0] + [0.0] * 5,  # negative free intercept
+         relative=False, through_origin=False)
+@example(xs=[1, 2, 3, 4, 5], ys=[3.0, 0.0, 7.0, -1.0, 11.0] + [0.0] * 3,  # y <= 0 samples
+         relative=True, through_origin=False)
+@example(xs=[0, 5, 9], ys=[-0.5, -0.25, -0.75] + [0.0] * 5,
+         relative=True, through_origin=True)
+def test_fit_nonneg_matches_brute_force_nnls(xs, ys, relative, through_origin):
+    ys = ys[:len(xs)]
+    usable = [x for x, y in zip(xs, ys) if not relative or y > 0.0]
+    if not through_origin and len(usable) < 2:
+        with pytest.raises(CalibrationError):
+            fit_nonneg(xs, ys, relative=relative, through_origin=through_origin)
+        return
+    slope, intercept, rss, _ = fit_nonneg(xs, ys, relative=relative,
+                                          through_origin=through_origin)
+    o_slope, o_intercept, o_loss = oracle_nnls(xs, ys, relative, through_origin)
+    assert slope >= 0.0 and intercept >= 0.0
+    if through_origin:
+        assert intercept == 0.0
+    assert rss == pytest.approx(o_loss, rel=1e-9, abs=1e-12)
+    assert slope == pytest.approx(o_slope, rel=1e-6, abs=1e-12)
+    assert intercept == pytest.approx(o_intercept, rel=1e-6, abs=1e-12)
 
 
 def test_make_fit_result_bundles_both_fits():

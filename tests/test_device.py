@@ -348,6 +348,20 @@ def test_calibrate_profile_from_probe_family():
     assert fitted.post_rate == pytest.approx(DEFAULT_MODELED_PROFILE.post_rate, rel=1e-9)
 
 
+def test_calibrate_profile_without_returned_bytes_reuses_h2d_bandwidth():
+    # probes with no matches return nothing, so there is no d2h sample to fit
+    dev = ModeledDevice(DEFAULT_MODELED_PROFILE)
+    samples = []
+    for n in (8_000, 16_000, 32_000):
+        build = kv(np.arange(n // 2, dtype=np.float64))
+        probe = kv(np.arange(n - n // 2, dtype=np.float64) + n)
+        samples.append((n, dev.probe(build, probe).ledger))
+    assert all(led.d2h_bytes == 0 for _, led in samples)
+    fitted = calibrate_profile(samples, op=OP_PROBE)
+    assert fitted.d2h_bandwidth == fitted.h2d_bandwidth
+    assert fitted.h2d_bandwidth == pytest.approx(DEFAULT_MODELED_PROFILE.h2d_bandwidth, rel=1e-9)
+
+
 def with_kernel_times(samples, t_kernel):
     return [
         (n, TransferLedger.build(led.h2d_bytes, led.d2h_bytes, led.t_h2d, t, led.t_d2h, led.t_post))

@@ -267,6 +267,17 @@ def test_calibrate_cpu_model_sort_family_alone():
     assert fitted.beta_match == 0.0
 
 
+def test_calibrate_cpu_model_predicts_small_sizes_as_well_as_large():
+    # proxy-bench Top-K medians (k = 100), 1k to 3M rows: an absolute fit lets
+    # 3M decide and predicts 1k at 0.16x its measured time
+    medians = {1_000: 22e-6, 10_000: 42e-6, 100_000: 323e-6, 500_000: 2_055e-6,
+               1_000_000: 5_750e-6, 3_000_000: 22_649e-6}
+    fitted = calibrate_cpu_model([(OP_TOPK, n, 100, t) for n, t in medians.items()])
+    worst = max(abs(estimate_cpu_cost(fitted, OP_TOPK, n, 100) - t) / t
+                for n, t in medians.items())
+    assert worst <= 0.5, f"largest relative residual {worst:.2f}"
+
+
 def test_calibrate_cpu_model_input_validation():
     with pytest.raises(CalibrationError):
         calibrate_cpu_model([])
@@ -308,5 +319,7 @@ def test_calibrate_cpu_model_clamps_negative_slope_to_zero():
     samples += [(OP_PROBE, n, 1, 1e-9 * n + 1e-6) for n in (10, 100, 1_000)]
     fitted = calibrate_cpu_model(samples)
     assert fitted.alpha_sort == 0.0
-    assert fitted.beta_sort == pytest.approx(2e-3, rel=1e-9)  # mean of the flat fit
+    # the flat fit weighs each time by 1/y**2, so beta is the weighted mean
+    # sum(y / y**2) / sum(1 / y**2) = (1833.3...) / (1361111.1...) = 33 / 24500
+    assert fitted.beta_sort == pytest.approx(1.346938775510204e-3, rel=1e-9)
     assert fitted.alpha_match == pytest.approx(1e-9, rel=1e-9)
