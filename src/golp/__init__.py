@@ -4,172 +4,15 @@ A columnar store feeds two execution paths for Top-K and hash-join probe
 queries: the host primitives, and a device backend reached by shipping only
 (key, row id) pairs and materializing payloads late. A cost-model gate picks
 the path per query; the harness measures both and exports figure data.
+
+The package root holds the names the README quick start imports; every
+other name is imported from its module, for example golp.gate.execute_path.
 """
 
-from .breakeven import (
-    BreakEven,
-    FitResult,
-    make_fit_result,
-    measured_crossover,
-    solve_break_even,
-    validate_break_even,
-)
-from .device import (
-    DEFAULT_MODELED_PROFILE,
-    FULL_ROW,
-    KEY_ONLY,
-    OP_FULL_SORT,
-    OP_PROBE,
-    OP_TOPK,
-    DeviceCallResult,
-    DeviceProfile,
-    ModeledDevice,
-    ProxyDevice,
-    TransferLedger,
-    calibrate_profile,
-    estimate_device_cost,
-    make_device,
-    transfer_entry_bytes,
-)
-from .errors import (
-    CalibrationError,
-    CapacityError,
-    GolpError,
-    NoCrossingError,
-    StrategyMismatchError,
-    SweepBracketError,
-)
-from .gate import (
-    DEFAULT_CPU_MODEL,
-    DEVICE,
-    HOST,
-    CpuCostModel,
-    GateConfig,
-    GateDecision,
-    break_even_n,
-    calibrate_cpu_model,
-    decide,
-    estimate_cpu_cost,
-    execute_gated,
-    execute_path,
-    with_margin,
-)
-from .harness import (
-    DEFAULT_GRID,
-    DEFAULT_MARGINS,
-    BenchReport,
-    LatencyStats,
-    PayloadComparison,
-    StrategyRun,
-    WorkloadSpec,
-    breakeven_rows_from_runs,
-    compute_stats,
-    export_report,
-    model_breakeven_sweep,
-    run_margin_sweep,
-    run_payload_comparison,
-    run_scaling_baseline,
-    run_strategy_comparison,
-)
-from .host import (
-    ProbeResult,
-    TopKResult,
-    host_full_sort,
-    host_hash_build,
-    host_hash_probe,
-    host_topk,
-)
-from .store import (
-    DEFAULT_PAYLOAD_BYTES,
-    KEY_ENTRY_BYTES,
-    ColumnTable,
-    KeyVector,
-    MaterializedResult,
-    extract_keys,
-    full_row_bytes,
-    generate_table,
-    key_only_bytes,
-    load_table,
-    materialize,
-    random_key_vector,
-    save_table,
-)
+from .device import OP_TOPK, make_device
+from .gate import GateConfig, execute_gated
+from .store import generate_table
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BenchReport",
-    "BreakEven",
-    "CalibrationError",
-    "CapacityError",
-    "ColumnTable",
-    "CpuCostModel",
-    "DEFAULT_CPU_MODEL",
-    "DEFAULT_GRID",
-    "DEFAULT_MARGINS",
-    "DEFAULT_MODELED_PROFILE",
-    "DEFAULT_PAYLOAD_BYTES",
-    "DEVICE",
-    "DeviceCallResult",
-    "DeviceProfile",
-    "FULL_ROW",
-    "FitResult",
-    "GateConfig",
-    "GateDecision",
-    "GolpError",
-    "HOST",
-    "KEY_ENTRY_BYTES",
-    "KEY_ONLY",
-    "KeyVector",
-    "LatencyStats",
-    "MaterializedResult",
-    "ModeledDevice",
-    "NoCrossingError",
-    "OP_FULL_SORT",
-    "OP_PROBE",
-    "OP_TOPK",
-    "PayloadComparison",
-    "ProbeResult",
-    "ProxyDevice",
-    "StrategyMismatchError",
-    "StrategyRun",
-    "SweepBracketError",
-    "TopKResult",
-    "TransferLedger",
-    "WorkloadSpec",
-    "break_even_n",
-    "breakeven_rows_from_runs",
-    "calibrate_cpu_model",
-    "calibrate_profile",
-    "compute_stats",
-    "decide",
-    "estimate_cpu_cost",
-    "estimate_device_cost",
-    "execute_gated",
-    "execute_path",
-    "export_report",
-    "extract_keys",
-    "full_row_bytes",
-    "generate_table",
-    "host_full_sort",
-    "host_hash_build",
-    "host_hash_probe",
-    "host_topk",
-    "key_only_bytes",
-    "load_table",
-    "make_device",
-    "make_fit_result",
-    "materialize",
-    "measured_crossover",
-    "model_breakeven_sweep",
-    "random_key_vector",
-    "run_margin_sweep",
-    "run_payload_comparison",
-    "run_scaling_baseline",
-    "run_strategy_comparison",
-    "save_table",
-    "solve_break_even",
-    "transfer_entry_bytes",
-    "validate_break_even",
-    "with_margin",
-]
+__all__ = ["GateConfig", "OP_TOPK", "execute_gated", "generate_table", "make_device"]

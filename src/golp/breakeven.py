@@ -37,18 +37,6 @@ class FitResult:
     r2_cpu: float
     r2_tx: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "d": self.d,
-            "rss_cpu": self.rss_cpu,
-            "rss_tx": self.rss_tx,
-            "r2_cpu": self.r2_cpu,
-            "r2_tx": self.r2_tx,
-        }
-
 
 @dataclass(frozen=True)
 class BreakEven:
@@ -74,8 +62,8 @@ def fit_nonneg(
     Neither coefficient goes below zero, since both are physical costs: a
     negative slope gives the best non-negative constant, a negative intercept
     the best line through the origin. For non-negative xs that is the exact
-    constrained optimum. through_origin fits {xs} alone; with no usable
-    sample its slope is 0.
+    constrained optimum. Equal ys fit a slope of exactly 0. through_origin
+    fits {xs} alone; with no usable sample its slope is 0.
     """
     pts = [(float(x), float(y)) for x, y in zip(xs, ys) if not relative or y > 0.0]
     if not through_origin and len({x for x, _ in pts}) < 2:
@@ -84,7 +72,10 @@ def fit_nonneg(
         return 0.0, 0.0, 0.0, 1.0
     wxy = [(1.0 / (y * y) if relative else 1.0, x, y) for x, y in pts]
     sw = math.fsum(w for w, _, _ in wxy)
-    ybar = math.fsum(w * y for w, _, y in wxy) / sw
+    if len({y for _, y in pts}) == 1:
+        ybar = pts[0][1]  # exact, so no rounding residue becomes a slope
+    else:
+        ybar = math.fsum(w * y for w, _, y in wxy) / sw
 
     def origin_slope() -> float:
         sxx0 = math.fsum(w * x * x for w, x, _ in wxy)

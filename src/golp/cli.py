@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .breakeven import BreakEven, make_fit_result, validate_break_even
-from .device import KEY_ONLY, calibrate_profile, make_device
+from .device import KEY_ONLY, OP_FULL_SORT, OP_TOPK, calibrate_profile, make_device
 from .errors import (
     CalibrationError,
     GolpError,
@@ -27,15 +27,7 @@ from .errors import (
     StrategyMismatchError,
     SweepBracketError,
 )
-from .gate import (
-    GateConfig,
-    OP_FULL_SORT,
-    OP_TOPK,
-    break_even_n,
-    calibrate_cpu_model,
-    decide,
-    with_margin,
-)
+from .gate import GateConfig, break_even_n, calibrate_cpu_model, decide
 from .harness import (
     BenchReport,
     BreakEvenRow,
@@ -205,6 +197,14 @@ def _read_rows(path) -> list[list[str]]:
         return [row for row in csv.reader(f) if row and any(c.strip() for c in row)]
 
 
+def _check_width(path, rows: list[list[str]], width: int) -> list[list[str]]:
+    """rows, if each has at least width cells; a shorter one is a ValueError."""
+    for row in rows:
+        if len(row) < width:
+            raise ValueError(f"{path}: row {','.join(row)!r} has {len(row)} of {width} columns")
+    return rows
+
+
 def read_curve_csv(path, role: str) -> list[tuple[float, float]]:
     """(n, seconds) points from a plain two-column CSV or a bench figure file.
 
@@ -216,9 +216,9 @@ def read_curve_csv(path, role: str) -> list[tuple[float, float]]:
         raise CalibrationError(f"{path}: empty curve file")
     header = [c.strip() for c in rows[0]]
     if _is_number(header[0]):
-        return [(float(r[0]), float(r[1])) for r in rows]
+        return [(float(r[0]), float(r[1])) for r in _check_width(path, rows, 2)]
     cols = {name: i for i, name in enumerate(header)}
-    data = rows[1:]
+    data = _check_width(path, rows[1:], len(header))
     if "op" in cols and "median_s" in cols:
         if role != "cpu":
             raise ValueError(f"{path}: scaling data only describes the cpu curve")
@@ -244,7 +244,7 @@ def read_sweep_csv(path) -> list[tuple[float, float, float]]:
     if not rows:
         raise SweepBracketError(f"{path}: empty sweep file")
     start = 0 if _is_number(rows[0][0]) else 1
-    return [(float(r[0]), float(r[1]), float(r[2])) for r in rows[start:]]
+    return [(float(r[0]), float(r[1]), float(r[2])) for r in _check_width(path, rows[start:], 3)]
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -272,7 +272,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     n_star = break_even_n(gate, rc.workload.k, rc.workload.payload_bytes)
     be = (validate_break_even(n_star, read_sweep_csv(args.sweep))
           if args.sweep else BreakEven(n_star))
-    out_doc = dict(fit.to_json_dict())
+    out_doc = dataclasses.asdict(fit)
     out_doc["n_star"] = be.n_star
     out_doc["measured_n_star"] = be.measured_n_star
     out_doc["relative_error"] = be.relative_error
@@ -304,7 +304,7 @@ def cmd_gate_sim(args: argparse.Namespace) -> int:
     margins = _parse_margins(args.margins)
     lines = ["n,margin_s,path,c_cpu_est,c_gpu_est,gain"]
     for margin in margins:
-        cfg = with_margin(gate, margin)
+        cfg = dataclasses.replace(gate, margin_s=margin)
         for n in spec.n_grid:
             d = decide(cfg, OP_TOPK, n, spec.k, payload_bytes=spec.payload_bytes)
             lines.append(

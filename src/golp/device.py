@@ -129,9 +129,6 @@ class DeviceProfile:
             if not value > 0.0:
                 raise ValueError(f"profile field {name} must be strictly positive")
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DeviceProfile":
         return cls(**{f.name: float(obj[f.name]) for f in fields(cls)})
@@ -351,13 +348,16 @@ class ProxyDevice(_Device):
             parts = list(self._pool.map(lambda span: fn(*span), spans))
         return tuple(np.concatenate(column) for column in zip(*parts))
 
-    @staticmethod
-    def _h2d(vectors: Sequence[KeyVector], mode: str, h2d_bytes: int):
-        """Device copies of each vector's keys and of its rows, and the h2d window.
+    def _offload(self, op: str, vectors: Sequence[KeyVector], mode: str, h2d_bytes: int,
+                 kernel, result) -> DeviceCallResult:
+        """One wall-timed device call: h2d copy, kernel, d2h copy, result build, ledger.
 
-        Only the h2d_bytes accounted are copied inside the timed window; in
-        full-row mode row ids ride along as unaccounted plumbing, and the
-        payload bytes are what the keys leave of h2d_bytes.
+        kernel(keys, rows) runs on the device copies of each vector's keys and
+        row ids and returns the output arrays; result(*returned) builds the
+        payload from their d2h copies. Only the h2d_bytes accounted are copied
+        inside the h2d window: in full-row mode row ids ride along as
+        unaccounted plumbing, and the payload bytes are what the keys leave of
+        h2d_bytes.
         """
         if mode == FULL_ROW:
             rows = [v.rows.copy() for v in vectors]
@@ -368,7 +368,22 @@ class ProxyDevice(_Device):
             t0 = wall_clock()
             keys = [v.keys.copy() for v in vectors]
             rows = [v.rows.copy() for v in vectors]
-        return keys, rows, t0, wall_clock()
+        t1 = wall_clock()
+        out = kernel(keys, rows)
+        t2 = wall_clock()
+        returned = [column.copy() for column in out]
+        t3 = wall_clock()
+        payload = result(*returned)
+        t4 = wall_clock()
+        ledger = TransferLedger.build(
+            h2d_bytes=h2d_bytes,
+            d2h_bytes=OPS[op].returned_row_bytes * len(returned[0]),
+            t_h2d=t1 - t0,
+            t_kernel=t2 - t1,
+            t_d2h=t3 - t2,
+            t_post=t4 - t3,
+        )
+        return DeviceCallResult(payload=payload, ledger=ledger)
 
     def topk(
         self,
@@ -380,24 +395,16 @@ class ProxyDevice(_Device):
         if k < 1:
             raise ValueError("k must be at least 1")
         n = len(keys)
-        h2d_bytes = transfer_entry_bytes(mode, payload_bytes) * n
-        (dev_keys,), (dev_rows,), t0, t1 = self._h2d([keys], mode, h2d_bytes)
 
-        candidates = self._scan(
-            n, max(4 * k, 4096),
-            lambda lo, hi: topk_candidates(dev_keys[lo:hi], dev_rows[lo:hi], k),
-        )
-        result_rows = merge_topk(*candidates, k)
-        t2 = wall_clock()
+        def kernel(dev_keys, dev_rows):
+            candidates = self._scan(
+                n, max(4 * k, 4096),
+                lambda lo, hi: topk_candidates(dev_keys[0][lo:hi], dev_rows[0][lo:hi], k),
+            )
+            return (merge_topk(*candidates, k),)
 
-        returned_rows = result_rows.copy()
-        t3 = wall_clock()
-
-        payload = TopKResult(rows=returned_rows)
-        t4 = wall_clock()
-
-        ledger = _measured_ledger(OP_TOPK, h2d_bytes, len(returned_rows), (t0, t1, t2, t3, t4))
-        return DeviceCallResult(payload=payload, ledger=ledger)
+        return self._offload(OP_TOPK, [keys], mode, transfer_entry_bytes(mode, payload_bytes) * n,
+                             kernel, TopKResult)
 
     def probe(
         self,
@@ -408,44 +415,23 @@ class ProxyDevice(_Device):
         build_payload_bytes: Optional[int] = None,
     ) -> DeviceCallResult:
         """Join probe; payload_bytes is the probe table's width, build_payload_bytes the build's."""
-        h2d_bytes = _h2d_bytes(mode, len(probe), payload_bytes, len(build), build_payload_bytes)
-        (dev_build_keys, dev_probe_keys), (dev_build_rows, dev_probe_rows), t0, t1 = self._h2d(
-            [build, probe], mode, h2d_bytes
+
+        def kernel(dev_keys, dev_rows):
+            # the build runs on the calling thread; the pool threads only scan it
+            index = host_hash_build(KeyVector(keys=dev_keys[0], rows=dev_rows[0]))
+            bits = key_bits(dev_keys[1])
+            return self._scan(
+                len(probe), 4096, lambda lo, hi: index.match(bits[lo:hi], dev_rows[1][lo:hi])
+            )
+
+        return self._offload(
+            OP_PROBE, [build, probe], mode,
+            _h2d_bytes(mode, len(probe), payload_bytes, len(build), build_payload_bytes),
+            kernel,
+            lambda probe_rows, build_rows: ProbeResult(
+                probe_rows=probe_rows, build_rows=build_rows, probe_count=len(probe)
+            ),
         )
-
-        # the build runs on the calling thread; the pool threads only scan it
-        index = host_hash_build(KeyVector(keys=dev_build_keys, rows=dev_build_rows))
-        bits = key_bits(dev_probe_keys)
-        probe_rows, build_rows = self._scan(
-            len(probe), 4096, lambda lo, hi: index.match(bits[lo:hi], dev_probe_rows[lo:hi])
-        )
-        t2 = wall_clock()
-
-        returned = (probe_rows.copy(), build_rows.copy())
-        t3 = wall_clock()
-
-        payload = ProbeResult(
-            probe_rows=returned[0], build_rows=returned[1], probe_count=len(probe)
-        )
-        t4 = wall_clock()
-
-        ledger = _measured_ledger(
-            OP_PROBE, h2d_bytes, payload.match_count, (t0, t1, t2, t3, t4)
-        )
-        return DeviceCallResult(payload=payload, ledger=ledger)
-
-
-def _measured_ledger(op: str, h2d_bytes: int, returned: int, stamps) -> TransferLedger:
-    """Ledger of a wall-timed call from the five clock readings around its phases."""
-    t0, t1, t2, t3, t4 = stamps
-    return TransferLedger.build(
-        h2d_bytes=h2d_bytes,
-        d2h_bytes=OPS[op].returned_row_bytes * returned,
-        t_h2d=t1 - t0,
-        t_kernel=t2 - t1,
-        t_d2h=t3 - t2,
-        t_post=t4 - t3,
-    )
 
 
 def make_device(backend: str, profile: DeviceProfile = DEFAULT_MODELED_PROFILE,

@@ -8,16 +8,14 @@ decision record keeps both estimates so a sweep can be audited offline.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 from .breakeven import fit_nonneg, solve_break_even
-from .device import (  # the OP_* names are re-exported for the gate's callers
+from .device import (
     DEFAULT_MODELED_PROFILE,
     KEY_ONLY,
     MODES,
-    OP_FULL_SORT,
-    OP_PROBE,
     OP_TOPK,
     DeviceProfile,
     ModeledDevice,
@@ -46,9 +44,6 @@ class CpuCostModel:
         for name, value in asdict(self).items():
             if value < 0.0:
                 raise ValueError(f"cpu model coefficient {name} must be non-negative")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CpuCostModel":
@@ -80,15 +75,6 @@ class GateConfig:
             raise ValueError("min_n_guard must be non-negative when set")
         if self.mode not in MODES:
             raise ValueError(f"unknown transfer mode {self.mode!r}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "margin_s": self.margin_s,
-            "min_n_guard": self.min_n_guard,
-            "cpu_model": self.cpu_model.to_json_dict(),
-            "profile": self.profile.to_json_dict(),
-            "mode": self.mode,
-        }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GateConfig":
@@ -265,7 +251,3 @@ def calibrate_cpu_model(samples: Sequence[tuple]) -> CpuCostModel:
     if model.alpha_sort == 0.0 and model.alpha_match == 0.0:
         raise CalibrationError("calibration found no growth in either op family")
     return model
-
-
-def with_margin(config: GateConfig, margin_s: float) -> GateConfig:
-    return replace(config, margin_s=margin_s)

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -35,6 +34,7 @@ from .breakeven import BreakEven, FitResult
 from .device import (
     FULL_ROW,
     KEY_ONLY,
+    OP_FULL_SORT,
     OP_TOPK,
     ModeledDevice,
     TransferLedger,
@@ -47,13 +47,11 @@ from .gate import (
     HOST,
     GateConfig,
     GateDecision,
-    OP_FULL_SORT,
     decide,
     estimate_costs,
     estimate_cpu_cost,
     execute_gated,
     execute_path,
-    with_margin,
 )
 from .host import host_full_sort, host_topk, mix64
 from .store import (
@@ -77,7 +75,9 @@ WARMUP_RUNS = 1
 
 DEFAULT_MARGINS = (0.0, 5e-3, 10e-3)
 
-_TIMER_TARGET = 1e-6
+# model_breakeven_sweep's geometric step: a 1% grid, fine enough to localize
+# the crossover to the same precision the validation bound cares about.
+SWEEP_STEP = 1.01
 
 
 @dataclass(frozen=True)
@@ -202,26 +202,6 @@ class BreakEvenRow(NamedTuple):
     device_s: float
 
 
-def timer_resolution(trials: int = 64) -> float:
-    """Smallest observable positive tick of the wall clock, in seconds."""
-    best = math.inf
-    for _ in range(trials):
-        t0 = time.perf_counter_ns()
-        t1 = time.perf_counter_ns()
-        while t1 == t0:
-            t1 = time.perf_counter_ns()
-        best = min(best, (t1 - t0) / 1e9)
-    return best
-
-
-def effective_repeats(repeats: int) -> int:
-    """Scales repeats up when the clock is too coarse to resolve 1 us."""
-    res = timer_resolution()
-    if res <= _TIMER_TARGET:
-        return repeats
-    return repeats * min(math.ceil(res / _TIMER_TARGET), 64)
-
-
 def query_sizes(spec: WorkloadSpec) -> list[int]:
     """The query sequence: grid x repeats, or seeded draws from the mix."""
     if spec.mix is None:
@@ -259,7 +239,6 @@ def run_scaling_baseline(
                 rows.append(ScalingRow(n, op, v, v))
         return rows
 
-    reps = effective_repeats(spec.repeats)
     for n in spec.n_grid:
         kv = random_key_vector(n, _table_seed(spec.seed, n))
         for op, run in (
@@ -269,7 +248,7 @@ def run_scaling_baseline(
             for _ in range(WARMUP_RUNS):
                 run()
             samples = []
-            for _ in range(reps):
+            for _ in range(spec.repeats):
                 t0 = wall_clock()
                 run()
                 samples.append(wall_clock() - t0)
@@ -422,7 +401,7 @@ def run_margin_sweep(
     )
     rows: list[MarginRow] = []
     for margin in margins:
-        cfg = with_margin(config, float(margin))
+        cfg = replace(config, margin_s=float(margin))
         rate = 0.0
         switch_n: Optional[int] = None
         for n, w in zip(spec.n_grid, weights):
@@ -438,17 +417,10 @@ def run_margin_sweep(
 def model_breakeven_sweep(
     spec: WorkloadSpec,
     config: Optional[GateConfig] = None,
-    step: float = 1.01,
 ) -> list[BreakEvenRow]:
-    """Fine geometric (n, cpu_s, device_s) sweep on the cost models (fig5).
-
-    Step 1.01 is a 1% grid, fine enough to localize the crossover to the
-    same precision the validation bound cares about.
-    """
+    """Fine geometric (n, cpu_s, device_s) sweep on the cost models (fig5), by SWEEP_STEP."""
     if config is None:
         config = GateConfig()
-    if step <= 1.0:
-        raise ValueError("step must be > 1")
     lo, hi = spec.n_grid[0], spec.n_grid[-1]
     rows: list[BreakEvenRow] = []
     x = float(lo)
@@ -461,7 +433,7 @@ def model_breakeven_sweep(
             rows.append(BreakEvenRow(float(n), cpu_s, device_s))
         if n >= hi:
             break
-        x *= step
+        x *= SWEEP_STEP
     return rows
 
 
@@ -558,9 +530,9 @@ def export_report(report: BenchReport, out_dir) -> list[Path]:
         for r in (payload.e2e_rows if payload else ())
     ))
 
-    fits = report.fit.to_json_dict() if report.fit is not None else None
-    if fits is not None:
-        fits = {key: fits[key] for key in ("a", "b", "c", "d", "r2_cpu", "r2_tx")}
+    fits = None if report.fit is None else {
+        key: getattr(report.fit, key) for key in ("a", "b", "c", "d", "r2_cpu", "r2_tx")
+    }
     summary = {
         "fits": fits,
         "n_star": report.breakeven.n_star if report.breakeven else None,

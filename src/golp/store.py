@@ -174,9 +174,6 @@ class ColumnTable:
     def payload_bytes(self) -> int:
         return int(self.payload_column.shape[1])
 
-    def payload_value(self, row: int) -> bytes:
-        return self.payload_column[row].tobytes()
-
 
 @dataclass
 class KeyVector:
@@ -209,9 +206,6 @@ class MaterializedResult:
 
     def __len__(self) -> int:
         return len(self.row_ids)
-
-    def payload_value(self, i: int) -> bytes:
-        return self.payloads[i].tobytes()
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -271,6 +265,8 @@ def materialize(table: ColumnTable, rows) -> MaterializedResult:
     if row_arr.ndim != 1:
         raise ValueError("rows must be a 1-D sequence of row ids")
     if row_arr.size:
+        if row_arr.dtype.kind not in "iu":
+            raise ValueError(f"row ids must be integers, not {row_arr.dtype}")
         lo = row_arr.min()
         hi = row_arr.max()
         if lo < 0 or hi >= table.row_count:
@@ -286,16 +282,6 @@ def materialize(table: ColumnTable, rows) -> MaterializedResult:
         # the ids are checked above, so a seeded column does not check them again
         payloads=payload.rows(row_arr) if isinstance(payload, SeededPayload) else payload[row_arr],
     )
-
-
-def full_row_bytes(table: ColumnTable) -> int:
-    """Bytes a full-row transfer of the whole table would ship."""
-    return table.row_count * (KEY_BYTES + table.payload_bytes)
-
-
-def key_only_bytes(n: int) -> int:
-    """Bytes a key-only transfer of n rows ships: 12 per entry, exactly."""
-    return KEY_ENTRY_BYTES * n
 
 
 def save_table(table: ColumnTable, path) -> None:

@@ -1,5 +1,6 @@
 """Curve fits and crossover solving."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -165,7 +166,7 @@ def test_make_fit_result_bundles_both_fits():
     assert fit.b == pytest.approx(1e-5, rel=1e-12)
     assert fit.c == pytest.approx(4e-10, rel=1e-12)
     assert fit.d == pytest.approx(2e-6, rel=1e-12)
-    keys = set(fit.to_json_dict())
+    keys = set(dataclasses.asdict(fit))
     assert keys == {"a", "b", "c", "d", "rss_cpu", "rss_tx", "r2_cpu", "r2_tx"}
 
 

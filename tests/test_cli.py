@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, config precedence."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -163,7 +164,7 @@ def test_modeled_bench_exports_a_crossover_its_grid_does_not_bracket(tmp_path, c
 
 
 def test_modeled_bench_reports_curves_that_never_cross_as_null(tmp_path, capsys):
-    slow_kernel = dict(DEFAULT_MODELED_PROFILE.to_json_dict(), kernel_rate_topk=1.0)
+    slow_kernel = dict(dataclasses.asdict(DEFAULT_MODELED_PROFILE), kernel_rate_topk=1.0)
     cfg = write_config(tmp_path, gate={"profile": slow_kernel})
     out = tmp_path / "run"
     assert run_cli("bench", "--config", cfg, "--backend", "modeled", "--out", out) == 0
@@ -279,6 +280,22 @@ def test_fit_rejects_role_mismatch(tmp_path):
     assert run_cli("bench", "--config", cfg, "--out", out) == 0
     assert run_cli("fit", "--cpu", out / "fig4_payload.csv",
                    "--tx", out / "fig4_payload.csv") == 2
+
+
+def test_fit_rejects_a_short_cpu_row_as_bad_input(tmp_path, capsys):
+    cpu, tx = write_plain_curves(tmp_path)
+    short = tmp_path / "short_cpu.csv"
+    short.write_text(cpu.read_text(encoding="utf-8") + "2000000\n", encoding="utf-8")
+    assert run_cli("fit", "--cpu", short, "--tx", tx) == 2
+    assert "1 of 2 columns" in capsys.readouterr().err
+
+
+def test_fit_rejects_a_short_sweep_row_as_bad_input(tmp_path, capsys):
+    cpu, tx = write_plain_curves(tmp_path)
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text("n,cpu_s,device_s\n1000,0.001,0.002\n2000,0.002\n", encoding="utf-8")
+    assert run_cli("fit", "--cpu", cpu, "--tx", tx, "--sweep", sweep) == 2
+    assert "2 of 3 columns" in capsys.readouterr().err
 
 
 # --- gate-sim ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Coprocessor backends: ledgers, byte accounting, calibration."""
 
+import dataclasses
 import statistics
 
 import numpy as np
@@ -148,7 +149,7 @@ def test_profile_validation_and_round_trip():
         DeviceProfile(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         DeviceProfile(1.0, 1.0, -2.0, 1.0, 1.0, 1.0)
-    prof = DeviceProfile.from_json_dict(DEFAULT_MODELED_PROFILE.to_json_dict())
+    prof = DeviceProfile.from_json_dict(dataclasses.asdict(DEFAULT_MODELED_PROFILE))
     assert prof == DEFAULT_MODELED_PROFILE
 
 

@@ -1,13 +1,18 @@
 """Dispatch rule, gated execution, and cpu-model calibration."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from golp.breakeven import fit_nonneg
 from golp.device import (
     DEFAULT_MODELED_PROFILE,
     FULL_ROW,
+    OP_FULL_SORT,
     OP_PROBE,
     OP_TOPK,
     DeviceProfile,
@@ -20,7 +25,6 @@ from golp.gate import (
     DEFAULT_CPU_MODEL,
     DEVICE,
     HOST,
-    OP_FULL_SORT,
     CpuCostModel,
     GateConfig,
     break_even_n,
@@ -29,7 +33,6 @@ from golp.gate import (
     estimate_cpu_cost,
     execute_gated,
     execute_path,
-    with_margin,
 )
 from golp.store import extract_keys, generate_table
 
@@ -48,7 +51,7 @@ FLAT_CONFIG = GateConfig(cpu_model=FLAT_CPU, profile=FLAT_DEVICE)
 
 
 def test_margin_below_gain_offloads():
-    d = decide(with_margin(FLAT_CONFIG, 5e-3), OP_TOPK, 1_000, k=100)
+    d = decide(dataclasses.replace(FLAT_CONFIG, margin_s=5e-3), OP_TOPK, 1_000, k=100)
     assert d.path == DEVICE
     assert d.c_cpu_est == pytest.approx(10e-3, rel=1e-9)
     assert d.c_gpu_est == pytest.approx(4e-3, rel=1e-6)
@@ -56,7 +59,7 @@ def test_margin_below_gain_offloads():
 
 
 def test_margin_above_gain_stays_on_host():
-    d = decide(with_margin(FLAT_CONFIG, 10e-3), OP_TOPK, 1_000, k=100)
+    d = decide(dataclasses.replace(FLAT_CONFIG, margin_s=10e-3), OP_TOPK, 1_000, k=100)
     assert d.path == HOST
     assert not d.guard_triggered
     assert d.margin_used == 10e-3
@@ -65,7 +68,7 @@ def test_margin_above_gain_stays_on_host():
 def test_gain_exactly_equal_to_margin_stays_on_host():
     gain = decide(FLAT_CONFIG, OP_TOPK, 1_000, k=100).gain
     assert gain > 0
-    d = decide(with_margin(FLAT_CONFIG, gain), OP_TOPK, 1_000, k=100)
+    d = decide(dataclasses.replace(FLAT_CONFIG, margin_s=gain), OP_TOPK, 1_000, k=100)
     assert d.path == HOST  # dispatch needs gain strictly above the margin
 
 
@@ -118,7 +121,7 @@ def test_break_even_n_is_where_decide_flips_on_a_proxy_like_config():
     assert decide(config, OP_TOPK, math.floor(n_star), 100, payload_bytes=64).path == HOST
     assert decide(config, OP_TOPK, math.ceil(n_star), 100, payload_bytes=64).path == DEVICE
     free_d2h = GateConfig(cpu_model=config.cpu_model,
-                          profile=DeviceProfile(**dict(profile.to_json_dict(), d2h_bandwidth=1e15)))
+                          profile=dataclasses.replace(profile, d2h_bandwidth=1e15))
     assert break_even_n(free_d2h, 100, payload_bytes=64) < n_star - 1.0
 
 
@@ -229,20 +232,12 @@ def test_gate_config_json_round_trip():
         profile=FLAT_DEVICE,
         mode=FULL_ROW,
     )
-    assert GateConfig.from_json_dict(cfg.to_json_dict()) == cfg
+    assert GateConfig.from_json_dict(dataclasses.asdict(cfg)) == cfg
     assert GateConfig.from_json_dict({}) == GateConfig()
     got = GateConfig.from_json_dict({"margin_s": 7e-3, "min_n_guard": None})
     assert got.margin_s == 7e-3
     assert got.min_n_guard is None
     assert got.profile == DEFAULT_MODELED_PROFILE
-
-
-def test_with_margin_leaves_original_untouched():
-    base = GateConfig()
-    tweaked = with_margin(base, 42e-3)
-    assert base.margin_s == 0.0
-    assert tweaked.margin_s == 42e-3
-    assert tweaked.cpu_model is base.cpu_model
 
 
 def test_calibrate_cpu_model_recovers_exact_constants():
@@ -287,6 +282,21 @@ def test_calibrate_cpu_model_input_validation():
         calibrate_cpu_model([(OP_FULL_SORT, n, 1, 5e-3) for n in (10, 20, 40)])
     with pytest.raises(ValueError):
         calibrate_cpu_model([("scan", 10, 1, 1e-3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ns=st.lists(st.integers(min_value=2, max_value=10**6), min_size=3, max_size=8, unique=True),
+    seconds=st.floats(min_value=1e-9, max_value=10.0),
+)
+def test_flat_calibration_has_no_slope_and_is_rejected(ns, seconds):
+    # no rounding residue of the weighted mean may pass as growth
+    xs = [n * math.log2(n) for n in ns]
+    for relative in (False, True):
+        slope, intercept, _, _ = fit_nonneg(xs, [seconds] * len(xs), relative=relative)
+        assert (slope, intercept) == (0.0, seconds)
+    with pytest.raises(CalibrationError, match="no growth"):
+        calibrate_cpu_model([(OP_FULL_SORT, n, 1, seconds) for n in ns])
 
 
 @pytest.mark.parametrize("call", [

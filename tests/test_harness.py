@@ -7,9 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golp.device import FULL_ROW, KEY_ONLY, ModeledDevice, ProxyDevice, estimate_device_cost
+from golp.device import (
+    FULL_ROW,
+    KEY_ONLY,
+    OP_FULL_SORT,
+    OP_TOPK,
+    ModeledDevice,
+    ProxyDevice,
+    estimate_device_cost,
+)
 from golp.errors import StrategyMismatchError
-from golp.gate import DEFAULT_CPU_MODEL, OP_FULL_SORT, OP_TOPK, GateConfig, estimate_cpu_cost
+from golp.gate import DEFAULT_CPU_MODEL, GateConfig, estimate_cpu_cost
 from golp.harness import (
     DEFAULT_GRID,
     DEVICE_ALWAYS,
@@ -272,8 +280,6 @@ def test_model_breakeven_sweep_covers_the_grid_span():
         assert row.cpu_s == estimate_cpu_cost(DEFAULT_CPU_MODEL, OP_TOPK, int(row.n), spec.k)
         assert row.device_s == estimate_device_cost(OP_TOPK, int(row.n), spec.k,
                                                     payload_bytes=spec.payload_bytes).total
-    with pytest.raises(ValueError):
-        model_breakeven_sweep(spec, step=1.0)
 
 
 def test_breakeven_rows_join_sort_medians_with_key_only_totals():
@@ -322,7 +328,7 @@ def test_export_is_byte_identical_across_reruns(tmp_path):
             payload=run_payload_comparison(spec),
             strategy_runs=(host, device, gated),
             margin_rows=run_margin_sweep(spec),
-            breakeven_rows=model_breakeven_sweep(spec, step=1.5),
+            breakeven_rows=model_breakeven_sweep(spec),
         )
 
     first = export_report(build_report(), tmp_path / "a")

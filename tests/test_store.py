@@ -7,17 +7,13 @@ import pytest
 
 from golp.errors import CapacityError
 from golp.store import (
-    DEFAULT_PAYLOAD_BYTES,
     ColumnTable,
     KeyVector,
     SeededPayload,
     extract_keys,
-    full_row_bytes,
     generate_table,
-    key_only_bytes,
     load_table,
     materialize,
-    random_key_vector,
     random_keys,
     save_table,
 )
@@ -113,7 +109,7 @@ def test_materialize_on_generated_table_equals_stored_payload():
     assert np.array_equal(got.row_ids, want.row_ids)
     assert np.array_equal(got.keys, want.keys)
     assert np.array_equal(got.payloads, want.payloads)
-    assert [got.payload_value(i) for i in range(5)] == [want.payload_value(i) for i in range(5)]
+    assert [got.payloads[i].tobytes() for i in range(5)] == [want.payloads[i].tobytes() for i in range(5)]
 
 
 def test_generated_table_holds_only_its_keys():
@@ -134,7 +130,7 @@ def test_materialize_fetches_exact_rows():
     assert list(got.row_ids) == [7, 3, 7]
     assert got.keys[0] == t.key_column[7]
     assert np.array_equal(got.payloads[1], t.payload_column[3])
-    assert got.payload_value(2) == t.payload_value(7)
+    assert got.payloads[2].tobytes() == t.payload_column[7].tobytes()
 
 
 def test_materialize_rejects_bad_rows():
@@ -147,11 +143,20 @@ def test_materialize_rejects_bad_rows():
         materialize(t, [[0, 1]])
 
 
-def test_byte_arithmetic():
-    t = generate_table(1000, DEFAULT_PAYLOAD_BYTES, seed=0)
-    assert full_row_bytes(t) == 1000 * (8 + 188)
-    assert key_only_bytes(1000) == 12_000
-    assert key_only_bytes(0) == 0
+def test_materialize_rejects_non_integer_row_ids():
+    t = generate_table(10, 4, seed=0)
+    with pytest.raises(ValueError, match="integers"):
+        materialize(t, np.array([0.7, 2.9]))
+    with pytest.raises(ValueError, match="integers"):
+        materialize(t, np.array([True, False]))
+
+
+def test_materialize_of_no_rows_is_empty():
+    t = generate_table(10, 4, seed=0)
+    for rows in ([], np.asarray([]), np.array([], dtype=np.uint32)):
+        got = materialize(t, rows)
+        assert len(got) == 0
+        assert got.payloads.shape[0] == 0
 
 
 def test_dump_round_trip(tmp_path, monkeypatch):
