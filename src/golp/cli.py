@@ -32,8 +32,6 @@ from .harness import (
     BenchReport,
     BreakEvenRow,
     DEFAULT_MARGINS,
-    PayloadComparison,
-    ScalingRow,
     WorkloadSpec,
     breakeven_rows_from_runs,
     export_report,
@@ -78,15 +76,20 @@ def _load_json(path) -> dict:
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
     raw = _load_json(args.config) if args.config else {}
-    wl = {k: v for k, v in dict(raw.get("workload") or {}).items() if k in _WORKLOAD_KEYS}
-    if "n_grid" in wl:
-        wl["n_grid"] = tuple(wl["n_grid"])
-    if wl.get("mix") is not None:
-        wl["mix"] = tuple(wl["mix"])
-    if getattr(args, "seed", None) is not None:
-        wl["seed"] = args.seed
-    spec = WorkloadSpec(**wl)
-    gate = GateConfig.from_json_dict(raw.get("gate") or {})
+    section = "workload"
+    try:  # a TypeError from building a section is a config error naming it
+        wl = {k: v for k, v in dict(raw.get("workload") or {}).items() if k in _WORKLOAD_KEYS}
+        if "n_grid" in wl:
+            wl["n_grid"] = tuple(wl["n_grid"])
+        if wl.get("mix") is not None:
+            wl["mix"] = tuple(wl["mix"])
+        if getattr(args, "seed", None) is not None:
+            wl["seed"] = args.seed
+        spec = WorkloadSpec(**wl)
+        section = "gate"
+        gate = GateConfig.from_json_dict(raw.get("gate") or {})
+    except TypeError as exc:
+        raise ValueError(f"config section {section!r}: {exc}") from exc
     backend = getattr(args, "backend", None) or raw.get("backend") or "modeled"
     out = (
         getattr(args, "out", None)
@@ -104,16 +107,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     save_table(table, out)
     print(f"wrote {out} ({out.stat().st_size} bytes, {table.row_count} rows)")
     return EXIT_OK
-
-
-def _fit_from_runs(scaling: Sequence[ScalingRow], payload: PayloadComparison):
-    cpu_pts = [(float(r.n), r.median_s) for r in scaling if r.op == OP_FULL_SORT]
-    tx_pts = [
-        (float(r.n), r.transfer_s)
-        for r in payload.payload_rows
-        if r.mode == KEY_ONLY
-    ]
-    return make_fit_result(cpu_pts, tx_pts)
 
 
 def _solve_with_sweep(gate: GateConfig, spec: WorkloadSpec, sweep: Sequence[BreakEvenRow]):
@@ -142,34 +135,32 @@ def cmd_bench(args: argparse.Namespace) -> int:
     with make_device(rc.backend, gate.profile, workers=args.workers) as device:
         scaling = run_scaling_baseline(spec, device, cpu_model=gate.cpu_model)
         payload = run_payload_comparison(spec, device=device)
+        # the one place that picks what calibrates the gate, fits fig3/fig4
+        # and forms the measured sweep
+        sort_medians = [(r.n, r.median_s) for r in scaling if r.op == OP_FULL_SORT]
+        key_only = [(n, led) for n, mode, led in payload if mode == KEY_ONLY]
         if device.virtual_clock:
             sweep = model_breakeven_sweep(spec, gate)
         else:
             # a measured run gates on constants calibrated from itself and is
-            # validated against its own curves
+            # validated against its own Top-K curves
             gate = dataclasses.replace(
                 gate,
                 cpu_model=calibrate_cpu_model([
-                    (OP_FULL_SORT, r.n, spec.k, r.median_s)
-                    for r in scaling if r.op == OP_FULL_SORT
+                    (OP_FULL_SORT, n, spec.k, s) for n, s in sort_medians
                 ]),
-                profile=calibrate_profile(payload.key_only_ledgers, op=OP_TOPK),
+                profile=calibrate_profile(key_only, op=OP_TOPK),
             )
-            sweep = breakeven_rows_from_runs(scaling, payload.transfer_rows)
+            topk_medians = [(r.n, r.median_s) for r in scaling if r.op == OP_TOPK]
+            sweep = breakeven_rows_from_runs(topk_medians, key_only)
         strategies = run_strategy_comparison(spec, gate, device=device)
     margins = run_margin_sweep(spec, DEFAULT_MARGINS, gate)
-    fit = _fit_from_runs(scaling, payload)
+    fit = make_fit_result([(float(n), s) for n, s in sort_medians],
+                          [(float(n), led.t_h2d) for n, led in key_only])
     be = _solve_with_sweep(gate, spec, sweep)
 
-    report = BenchReport(
-        scaling_rows=list(scaling),
-        payload=payload,
-        strategy_runs=strategies,
-        margin_rows=margins,
-        breakeven_rows=list(sweep),
-        fit=fit,
-        breakeven=be,
-    )
+    report = BenchReport(scaling_rows=scaling, payload=payload, strategy_runs=strategies,
+                         margin_rows=margins, breakeven_rows=sweep, fit=fit, breakeven=be)
     files = export_report(report, rc.output_dir)
     for p in files:
         print(f"wrote {p}")

@@ -25,7 +25,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -113,6 +113,12 @@ def op_spec(op: str, on_device: bool = False) -> OpSpec:
     return spec
 
 
+def replace_from_json(default, obj: dict):
+    """default with each field obj names set to float(obj[name]); other keys are ignored."""
+    given = {f.name: float(obj[f.name]) for f in fields(default) if f.name in obj}
+    return replace(default, **given)
+
+
 @dataclass(frozen=True)
 class DeviceProfile:
     """Cost constants for one device. Bandwidths in bytes/s, times in seconds."""
@@ -131,7 +137,7 @@ class DeviceProfile:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DeviceProfile":
-        return cls(**{f.name: float(obj[f.name]) for f in fields(cls)})
+        return replace_from_json(DEFAULT_MODELED_PROFILE, obj)
 
 
 # Chosen so the default configuration tells a coherent story: break-even

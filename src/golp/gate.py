@@ -22,6 +22,7 @@ from .device import (
     OpSpec,
     estimate_device_cost,
     op_spec,
+    replace_from_json,
 )
 from .errors import CalibrationError
 from .host import host_hash_build, host_hash_probe, host_topk
@@ -47,7 +48,7 @@ class CpuCostModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CpuCostModel":
-        return cls(**{f.name: float(obj[f.name]) for f in fields(cls)})
+        return replace_from_json(DEFAULT_CPU_MODEL, obj)
 
 
 # Paired with DEFAULT_MODELED_PROFILE; see that constant for the regime the

@@ -16,7 +16,10 @@ Exported figure data, one CSV per file:
   fig6_transfer.csv  n,mode,h2d_bytes,t_h2d,t_kernel,t_d2h,t_post,total_s
   fig7_e2e.csv       n,mode,e2e_s,speedup_vs_full_row
 
-plus summary.json holding the fitted constants, the solved crossover, its
+fig4, fig6 and fig7 come from the same (n, mode, ledger) records. fig5 is
+the gate's own Top-K estimates under the modeled backend; under the proxy
+backend it is the measured Top-K host medians against the key-only ledger
+totals. summary.json holds the fitted constants, the solved crossover, its
 validation error, and per-strategy latency percentiles.
 """
 
@@ -100,6 +103,8 @@ class WorkloadSpec:
         if any(b >= a for a, b in zip(grid[1:], grid)):
             raise ValueError("n_grid must be strictly increasing")
         object.__setattr__(self, "n_grid", grid)
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.payload_bytes < 1:
@@ -163,31 +168,6 @@ class ScalingRow(NamedTuple):
     op: str
     median_s: float
     p95_s: float
-
-
-class PayloadRow(NamedTuple):
-    n: int
-    mode: str
-    bytes: int
-    transfer_s: float
-
-
-class TransferRow(NamedTuple):
-    n: int
-    mode: str
-    h2d_bytes: int
-    t_h2d: float
-    t_kernel: float
-    t_d2h: float
-    t_post: float
-    total_s: float
-
-
-class E2eRow(NamedTuple):
-    n: int
-    mode: str
-    e2e_s: float
-    speedup_vs_full_row: float
 
 
 class MarginRow(NamedTuple):
@@ -257,50 +237,33 @@ def run_scaling_baseline(
     return rows
 
 
-@dataclass(frozen=True)
-class PayloadComparison:
-    payload_rows: list[PayloadRow]
-    transfer_rows: list[TransferRow]
-    e2e_rows: list[E2eRow]
-    # (n, ledger) of every key-only call: what a measured run calibrates
-    # its device profile from
-    key_only_ledgers: list[tuple[int, TransferLedger]]
+def run_payload_comparison(spec: WorkloadSpec, device=None) -> list[tuple[int, str, TransferLedger]]:
+    """Full-row vs key-only Top-K offload per n: one (n, mode, ledger) per call.
 
-
-def run_payload_comparison(spec: WorkloadSpec, device=None) -> PayloadComparison:
-    """Full-row vs key-only Top-K offload per n (fig4, fig6, fig7 rows).
-
-    Byte columns come from the ledger and are exact under every backend;
-    the time columns are modeled or measured depending on the device.
-    End-to-end time is t_h2d + t_kernel + t_d2h for full_row (payloads ride
-    along, nothing to materialize) and the whole ledger for key_only (late
-    materialization is the t_post phase).
+    Records come in grid order, full_row before key_only at each n. fig4,
+    fig6 and fig7 are all written from them. Byte counts are exact under
+    every backend; the times are modeled or measured depending on the device.
     """
     if device is None:
         device = ModeledDevice()
-    payload_rows: list[PayloadRow] = []
-    transfer_rows: list[TransferRow] = []
-    e2e_rows: list[E2eRow] = []
-    key_only_ledgers: list[tuple[int, TransferLedger]] = []
+    records: list[tuple[int, str, TransferLedger]] = []
     for n in spec.n_grid:
         kv = random_key_vector(n, _table_seed(spec.seed, n))
-        ledgers = {}
         for mode in (FULL_ROW, KEY_ONLY):
             call = device.topk(kv, spec.k, mode=mode, payload_bytes=spec.payload_bytes)
-            led = call.ledger
-            ledgers[mode] = led
-            payload_rows.append(PayloadRow(n, mode, led.h2d_bytes, led.t_h2d))
-            transfer_rows.append(TransferRow(
-                n, mode, led.h2d_bytes,
-                led.t_h2d, led.t_kernel, led.t_d2h, led.t_post, led.total,
-            ))
-        full = ledgers[FULL_ROW]
-        full_e2e = full.t_h2d + full.t_kernel + full.t_d2h
-        key_e2e = ledgers[KEY_ONLY].total
-        e2e_rows.append(E2eRow(n, FULL_ROW, full_e2e, 1.0))
-        e2e_rows.append(E2eRow(n, KEY_ONLY, key_e2e, full_e2e / key_e2e))
-        key_only_ledgers.append((n, ledgers[KEY_ONLY]))
-    return PayloadComparison(payload_rows, transfer_rows, e2e_rows, key_only_ledgers)
+            records.append((n, mode, call.ledger))
+    return records
+
+
+def e2e_seconds(mode: str, ledger: TransferLedger) -> float:
+    """fig7's end-to-end time of one call.
+
+    full_row is done after t_h2d + t_kernel + t_d2h (the payloads rode along);
+    key_only pays the whole ledger, late materialization (t_post) included.
+    """
+    if mode == FULL_ROW:
+        return ledger.t_h2d + ledger.t_kernel + ledger.t_d2h
+    return ledger.total
 
 
 def _fingerprint(result) -> tuple:
@@ -438,19 +401,12 @@ def model_breakeven_sweep(
 
 
 def breakeven_rows_from_runs(
-    scaling_rows: Sequence[ScalingRow],
-    transfer_rows: Sequence[TransferRow],
+    cpu_points: Sequence[tuple[int, float]],
+    key_only: Sequence[tuple[int, TransferLedger]],
 ) -> list[BreakEvenRow]:
-    """Measured (n, cpu_s, device_s) sweep joined from fig3 and fig6 rows.
-
-    cpu_s is the full_sort median, device_s the key-only ledger total.
-    """
-    cpu_at = {r.n: r.median_s for r in scaling_rows if r.op == OP_FULL_SORT}
-    dev_at = {r.n: r.total_s for r in transfer_rows if r.mode == KEY_ONLY}
-    return [
-        BreakEvenRow(float(n), cpu_at[n], dev_at[n])
-        for n in sorted(cpu_at.keys() & dev_at.keys())
-    ]
+    """Measured (n, cpu_s, device_s) sweep: host medians joined by n with key-only totals."""
+    dev_at = {n: led.total for n, led in key_only}
+    return [BreakEvenRow(float(n), s, dev_at[n]) for n, s in sorted(cpu_points) if n in dev_at]
 
 
 @dataclass
@@ -458,7 +414,8 @@ class BenchReport:
     """Everything one bench run produced, ready for export_report."""
 
     scaling_rows: list[ScalingRow] = field(default_factory=list)
-    payload: Optional[PayloadComparison] = None
+    # run_payload_comparison's (n, mode, ledger) records
+    payload: list[tuple[int, str, TransferLedger]] = field(default_factory=list)
     strategy_runs: tuple[StrategyRun, ...] = ()
     margin_rows: list[MarginRow] = field(default_factory=list)
     breakeven_rows: list[BreakEvenRow] = field(default_factory=list)
@@ -511,23 +468,24 @@ def export_report(report: BenchReport, out_dir) -> list[Path]:
         (str(r.n), r.op, _sec(r.median_s), _sec(r.p95_s))
         for r in report.scaling_rows
     ))
-    payload = report.payload
     emit("fig4_payload.csv", "n,mode,bytes,transfer_s", (
-        (str(r.n), r.mode, str(r.bytes), _sec(r.transfer_s))
-        for r in (payload.payload_rows if payload else ())
+        (str(n), mode, str(led.h2d_bytes), _sec(led.t_h2d))
+        for n, mode, led in report.payload
     ))
     emit("fig5_breakeven.csv", "n,cpu_s,device_s", (
         (str(int(r.n)), _sec(r.cpu_s), _sec(r.device_s))
         for r in report.breakeven_rows
     ))
     emit("fig6_transfer.csv", "n,mode,h2d_bytes,t_h2d,t_kernel,t_d2h,t_post,total_s", (
-        (str(r.n), r.mode, str(r.h2d_bytes), _sec(r.t_h2d), _sec(r.t_kernel),
-         _sec(r.t_d2h), _sec(r.t_post), _sec(r.total_s))
-        for r in (payload.transfer_rows if payload else ())
+        (str(n), mode, str(led.h2d_bytes), _sec(led.t_h2d), _sec(led.t_kernel),
+         _sec(led.t_d2h), _sec(led.t_post), _sec(led.total))
+        for n, mode, led in report.payload
     ))
+    full_e2e = {n: e2e_seconds(mode, led) for n, mode, led in report.payload if mode == FULL_ROW}
     emit("fig7_e2e.csv", "n,mode,e2e_s,speedup_vs_full_row", (
-        (str(r.n), r.mode, _sec(r.e2e_s), _frac(r.speedup_vs_full_row))
-        for r in (payload.e2e_rows if payload else ())
+        (str(n), mode, _sec(e2e), _frac(full_e2e[n] / e2e))
+        for n, mode, led in report.payload
+        for e2e in (e2e_seconds(mode, led),)
     ))
 
     fits = None if report.fit is None else {

@@ -149,6 +149,35 @@ def test_bench_rejects_missing_config_file(tmp_path):
     assert run_cli("bench", "--config", tmp_path / "nope.json") == 2
 
 
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, workload={"n_grid": 5})
+    assert run_cli("gate-sim", "--config", cfg) == 2
+    assert "config section 'workload'" in capsys.readouterr().err
+    cfg = write_config(tmp_path, gate={"cpu_model": {"alpha_sort": None}})
+    assert run_cli("gate-sim", "--config", cfg) == 2
+    assert "config section 'gate'" in capsys.readouterr().err
+
+
+def test_negative_k_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, workload={"k": -5})
+    assert run_cli("gate-sim", "--config", cfg) == 2
+    assert "k must be >= 1" in capsys.readouterr().err
+
+
+def test_partial_gate_sections_fall_back_key_by_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, gate={"cpu_model": {"alpha_sort": 2e-10},
+                                       "profile": {"h2d_bandwidth": 5e9}})
+    assert run_cli("gate-sim", "--config", cfg, "--margins", "0") == 0
+    expected = GateConfig(
+        cpu_model=dataclasses.replace(DEFAULT_CPU_MODEL, alpha_sort=2e-10),
+        profile=dataclasses.replace(DEFAULT_MODELED_PROFILE, h2d_bandwidth=5e9),
+    )
+    for n, _, path, c_cpu, c_gpu, _ in parse_sim(capsys.readouterr().out):
+        d = decide(expected, OP_TOPK, n, 100, payload_bytes=16)
+        assert (path, c_cpu, c_gpu) == (d.path, float(f"{d.c_cpu_est:.9f}"),
+                                        float(f"{d.c_gpu_est:.9f}"))
+
+
 def test_modeled_bench_exports_a_crossover_its_grid_does_not_bracket(tmp_path, capsys):
     # the solved n_star (~134,527) lies past the largest grid size
     cfg = write_config(tmp_path, workload={
@@ -194,6 +223,25 @@ def test_proxy_bench_runs_and_reports_honestly(tmp_path):
         assert (out / name).is_file(), name
     fig3 = (out / "fig3_scaling.csv").read_text(encoding="utf-8").splitlines()
     assert len(fig3) == 1 + 2 * 3  # header + two ops per grid size
+
+    def rows(name):
+        return [line.split(",") for line in
+                (out / name).read_text(encoding="utf-8").splitlines()[1:]]
+
+    # the measured sweep compares the Top-K host medians with the key-only totals
+    topk_median = {n: median for n, op, median, _ in rows("fig3_scaling.csv") if op == OP_TOPK}
+    fig5 = rows("fig5_breakeven.csv")
+    assert [n for n, _, _ in fig5] == ["1000", "2000", "4000"]
+    for n, cpu_s, _ in fig5:
+        assert cpu_s == topk_median[n]
+    # fig4, fig6 and fig7 come from the same ledger of each call
+    fig6 = rows("fig6_transfer.csv")
+    for f4, f6, f7 in zip(rows("fig4_payload.csv"), fig6, rows("fig7_e2e.csv"), strict=True):
+        assert f4[:2] == f6[:2] == f7[:2]
+        assert f4[3] == f6[3]  # transfer_s == t_h2d
+        if f6[1] == "key_only":
+            assert f7[2] == f6[7]  # e2e_s == total_s
+    assert len(fig6) == 2 * 3
 
 
 # --- fit --------------------------------------------------------------------

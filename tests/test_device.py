@@ -153,6 +153,14 @@ def test_profile_validation_and_round_trip():
     assert prof == DEFAULT_MODELED_PROFILE
 
 
+def test_partial_profile_section_falls_back_key_by_key():
+    assert DeviceProfile.from_json_dict({}) == DEFAULT_MODELED_PROFILE
+    got = DeviceProfile.from_json_dict({"h2d_bandwidth": 5e9, "post_rate": "3e-8"})
+    assert got == dataclasses.replace(DEFAULT_MODELED_PROFILE, h2d_bandwidth=5e9, post_rate=3e-8)
+    with pytest.raises(ValueError):
+        DeviceProfile.from_json_dict({"launch_overhead": 0.0})
+
+
 def test_make_device_dispatch():
     assert make_device("modeled").name == "modeled"
     proxy = make_device("proxy", workers=2)

@@ -240,6 +240,15 @@ def test_gate_config_json_round_trip():
     assert got.profile == DEFAULT_MODELED_PROFILE
 
 
+def test_partial_cpu_model_section_falls_back_key_by_key():
+    got = CpuCostModel.from_json_dict({"alpha_sort": 2e-10, "unknown": 1.0})
+    assert got == dataclasses.replace(DEFAULT_CPU_MODEL, alpha_sort=2e-10)
+    cfg = GateConfig.from_json_dict({"cpu_model": {"beta_match": 1e-6},
+                                     "profile": {"h2d_bandwidth": 5e9}})
+    assert cfg.cpu_model == dataclasses.replace(DEFAULT_CPU_MODEL, beta_match=1e-6)
+    assert cfg.profile == dataclasses.replace(DEFAULT_MODELED_PROFILE, h2d_bandwidth=5e9)
+
+
 def test_calibrate_cpu_model_recovers_exact_constants():
     truth = CpuCostModel(alpha_sort=2e-10, beta_sort=3e-6, alpha_match=4e-10, beta_match=2e-6)
     samples = []

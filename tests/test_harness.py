@@ -14,6 +14,7 @@ from golp.device import (
     OP_TOPK,
     ModeledDevice,
     ProxyDevice,
+    TransferLedger,
     estimate_device_cost,
 )
 from golp.errors import StrategyMismatchError
@@ -25,11 +26,10 @@ from golp.harness import (
     HOST_ONLY,
     BenchReport,
     BreakEvenRow,
-    ScalingRow,
-    TransferRow,
     WorkloadSpec,
     breakeven_rows_from_runs,
     compute_stats,
+    e2e_seconds,
     export_report,
     model_breakeven_sweep,
     query_sizes,
@@ -100,6 +100,14 @@ def test_workload_spec_validation():
         WorkloadSpec(n_grid=(10, 20), mix=(0.0, 0.0))
 
 
+def test_workload_spec_rejects_k_below_one():
+    # k is the returned row count: a negative one would bill negative d2h bytes
+    for k in (0, -5):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            WorkloadSpec(k=k)
+    assert WorkloadSpec(k=1).k == 1
+
+
 def test_workload_mix_normalizes_to_unit_sum():
     spec = WorkloadSpec(n_grid=(10, 20), mix=(2.0, 2.0))
     assert spec.mix == (0.5, 0.5)
@@ -152,40 +160,37 @@ def test_real_scaling_times_the_host_primitives():
 
 def test_payload_rows_carry_the_exact_byte_ratio():
     spec = WorkloadSpec(n_grid=(1_000, 3_000_000), repeats=1)
-    cmp = run_payload_comparison(spec)
-    by_key = {(r.n, r.mode): r for r in cmp.payload_rows}
+    records = run_payload_comparison(spec)
+    by_key = {(n, mode): led for n, mode, led in records}
     for n in spec.n_grid:
         full = by_key[(n, FULL_ROW)]
         key = by_key[(n, KEY_ONLY)]
-        assert full.bytes == 196 * n
-        assert key.bytes == 12 * n
-        assert full.bytes / key.bytes == pytest.approx(49 / 3, rel=1e-12)
+        assert full.h2d_bytes == 196 * n
+        assert key.h2d_bytes == 12 * n
+        assert full.h2d_bytes / key.h2d_bytes == pytest.approx(49 / 3, rel=1e-12)
         # same link, so modeled transfer time scales exactly with bytes
-        assert full.transfer_s / key.transfer_s == pytest.approx(49 / 3, rel=1e-12)
+        assert full.t_h2d / key.t_h2d == pytest.approx(49 / 3, rel=1e-12)
 
 
 def test_e2e_rows_at_three_million_rows():
     spec = WorkloadSpec(n_grid=(3_000_000,), repeats=1)
-    cmp = run_payload_comparison(spec)
-    by_mode = {r.mode: r for r in cmp.e2e_rows}
-    full = by_mode[FULL_ROW]
-    key = by_mode[KEY_ONLY]
-    assert full.e2e_s == pytest.approx(2.4020016e-2, rel=1e-6)
-    assert key.e2e_s == pytest.approx(1.942016e-3, rel=1e-6)
-    assert full.speedup_vs_full_row == 1.0
-    assert key.speedup_vs_full_row == pytest.approx(12.368598, rel=1e-6)
+    records = run_payload_comparison(spec)
+    e2e = {mode: e2e_seconds(mode, led) for _, mode, led in records}
+    speedup = {mode: e2e[FULL_ROW] / e2e[mode] for mode in e2e}
+    assert e2e[FULL_ROW] == pytest.approx(2.4020016e-2, rel=1e-6)
+    assert e2e[KEY_ONLY] == pytest.approx(1.942016e-3, rel=1e-6)
+    assert speedup[FULL_ROW] == 1.0
+    assert speedup[KEY_ONLY] == pytest.approx(12.368598, rel=1e-6)
 
 
 def test_e2e_full_row_skips_materialization_key_only_pays_it():
     spec = WorkloadSpec(n_grid=(100_000,), repeats=1)
-    cmp = run_payload_comparison(spec)
-    led = {r.mode: r for r in cmp.transfer_rows}
-    e2e = {r.mode: r for r in cmp.e2e_rows}
+    led = {mode: ledger for _, mode, ledger in run_payload_comparison(spec)}
     full_led = led[FULL_ROW]
-    assert e2e[FULL_ROW].e2e_s == pytest.approx(
+    assert e2e_seconds(FULL_ROW, full_led) == pytest.approx(
         full_led.t_h2d + full_led.t_kernel + full_led.t_d2h, rel=1e-12
     )
-    assert e2e[KEY_ONLY].e2e_s == pytest.approx(led[KEY_ONLY].total_s, rel=1e-12)
+    assert e2e_seconds(KEY_ONLY, led[KEY_ONLY]) == pytest.approx(led[KEY_ONLY].total, rel=1e-12)
     assert led[KEY_ONLY].t_post > 0.0
 
 
@@ -283,17 +288,12 @@ def test_model_breakeven_sweep_covers_the_grid_span():
 
 
 def test_breakeven_rows_join_sort_medians_with_key_only_totals():
-    scaling = [
-        ScalingRow(1_000, OP_FULL_SORT, 1e-3, 2e-3),
-        ScalingRow(1_000, OP_TOPK, 9e-4, 9e-4),  # ignored: wrong op
-        ScalingRow(2_000, OP_FULL_SORT, 3e-3, 4e-3),
+    cpu_points = [(1_000, 1e-3), (2_000, 3e-3)]
+    key_only = [
+        (1_000, TransferLedger(12_000, 1_200, 1e-4, 2e-4, 1e-6, 2e-6, 5e-4)),
+        (5_000, TransferLedger(60_000, 1_200, 5e-4, 2e-4, 1e-6, 2e-6, 8e-4)),  # no cpu point
     ]
-    transfer = [
-        TransferRow(1_000, KEY_ONLY, 12_000, 1e-4, 2e-4, 1e-6, 2e-6, 5e-4),
-        TransferRow(1_000, FULL_ROW, 196_000, 9e-3, 2e-4, 1e-6, 0.0, 9.2e-3),  # ignored
-        TransferRow(5_000, KEY_ONLY, 60_000, 5e-4, 2e-4, 1e-6, 2e-6, 8e-4),  # no cpu row
-    ]
-    rows = breakeven_rows_from_runs(scaling, transfer)
+    rows = breakeven_rows_from_runs(cpu_points, key_only)
     assert rows == [BreakEvenRow(1_000.0, 1e-3, 5e-4)]
 
 
