@@ -1,11 +1,17 @@
-"""CPU-path primitives: full sort, argpartition Top-K, sorted-index join.
+"""CPU-path primitives: full sort, block-max Top-K, sorted-index join.
 
 These are the baselines the dispatch gate compares against. All functions are
 pure and single-threaded; parallel execution belongs to the device backends.
 
-The Top-K is a selection, not a sort: argpartition finds the k largest keys
-in O(n), then only those k are sorted, so a Top-K is O(n + k log k). The proxy
-device runs the same two steps, a selection per chunk and one merge.
+The Top-K is a selection, not a sort. A block-max prefilter reads half the
+keys for block maxima and all of them once to compare with the k-th largest
+maximum, and keeps the few rows at or above it; argpartition then selects
+the k largest of those, and only those k are sorted. That is O(n + k log k)
+with about 1 byte per row of scratch (the compare's mask), where an
+argpartition over all n writes an 8-byte index per row. A tie-heavy input,
+where more than half the rows reach the threshold, runs argpartition over
+all n. The proxy device runs the same two steps, a selection per chunk and
+one merge.
 
 The join keeps the host_hash_build/host_hash_probe names of a hash join, but
 its build side is a sorted index: the build keys' bits in a stable ascending
@@ -113,10 +119,34 @@ def host_full_sort(keys: KeyVector) -> np.ndarray:
 
 
 def topk_candidates(keys: np.ndarray, rows: np.ndarray, k: int):
-    """(keys, rows) of the top min(k, len) entries, unordered, under (key desc, row id asc)."""
+    """(keys, rows) of the top min(k, len) entries, unordered, under (key desc, row id asc).
+
+    A block-max prefilter runs first. k distinct blocks hold a key >= floor,
+    the k-th largest of their maxima, so the k-th largest key is >= floor
+    and every key tied with it survives `keys >= floor`. Blocks are
+    m // 2k rows wide, at most 1024, so there are at least 2k of them and
+    every other block still gives k maxima: the max pass reads half the
+    keys. Below 8192 rows or 64-row blocks the prefilter's fixed cost and
+    weak floor outweigh what it saves on random keys, and with more than
+    half the rows reaching floor (ties) it saves nothing; the select then
+    runs on all m rows.
+    """
     m = len(keys)
     if m <= k:
         return keys, rows
+    width = min(1024, m // (2 * k))
+    if m >= 8192 and width >= 64:
+        blocks = keys[: m // width * width].reshape(-1, width)
+        maxima = blocks[::2].max(axis=1)
+        floor = np.partition(maxima, len(maxima) - k)[len(maxima) - k]
+        # each block's first key samples the rows, so a tie-heavy input
+        # skips the mask pass; the exact count then bounds the gather
+        if np.count_nonzero(blocks[:, 0] >= floor) <= len(blocks) // 2:
+            keep = keys >= floor
+            if np.count_nonzero(keep) <= m // 2:
+                pos = np.flatnonzero(keep)
+                keys, rows = keys[pos], rows[pos]
+                m = len(keys)
     kth = m - k
     top_pos = np.argpartition(keys, kth)[kth:]
     boundary = keys[top_pos].min()
@@ -139,7 +169,8 @@ def merge_topk(keys: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
 def host_topk(keys: KeyVector, k: int) -> TopKResult:
     """The k largest keys, descending; equal keys by ascending row id.
 
-    An argpartition selection, then a sort of the k selected: O(n + k log k).
+    The block-max prefilter, an argpartition of its survivors, then a sort of
+    the k selected: O(n + k log k), with about 1 byte per row of scratch.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -231,6 +231,28 @@ def test_proxy_topk_matches_host_multi_chunk():
     assert list(res.payload.rows) == expect
 
 
+def test_proxy_topk_every_chunk_prefilters_through_boundary_ties():
+    # Keys in [-4, 1): zero, the top key, is in every block of every chunk,
+    # so each chunk's block-max floor is the boundary key itself, about a
+    # fifth of its rows (the zeros) survive the prefilter, and more than k
+    # of them are -0.0/+0.0 ties that the chunk select and the merge must
+    # order by row id.
+    k = 100
+    keys = signed_keys_with_zeros(65_536, 10, low=-4, high=1)
+    expect = oracle_topk_rows(keys.keys.tolist(), keys.rows.tolist(), k)
+    with ProxyDevice(workers=4) as dev:
+        spans = dev._chunk_bounds(len(keys), floor=max(4 * k, 4096))
+        assert len(spans) == 4
+        for lo, hi in spans:
+            chunk = keys.keys[lo:hi]
+            width = min(1024, len(chunk) // (2 * k))  # topk_candidates' block width
+            assert len(chunk) >= 8192 and width >= 64
+            assert (chunk[: len(chunk) // width * width].reshape(-1, width).max(axis=1) == 0.0).all()
+            assert k < (chunk == 0.0).sum() <= len(chunk) // 4
+        res = dev.topk(keys, k)
+    assert list(res.payload.rows) == expect
+
+
 def test_proxy_probe_matches_host_multi_chunk():
     # The host join and the proxy share one probe scan, so the proxy's answer
     # is checked against the nested-loop oracle, not against the host.

@@ -1,5 +1,7 @@
 """Host primitives against hand cases and the naive oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -104,6 +106,61 @@ def test_topk_property_heavy_ties(key_ints, k):
     keys = [float(v) for v in key_ints]
     got = list(host_topk(kv(keys), k).rows)
     assert got == oracle_topk_rows(keys, range(len(keys)), k)
+
+
+@st.composite
+def block_max_instances(draw):
+    """(keys, rows, k) around the sizes where topk_candidates' block-max prefilter starts.
+
+    Keys are integers in [-domain, 0], about half the zeros -0.0, so a small
+    domain piles ties on the floor and on the boundary key; rows are shuffled.
+    The "spikes" layout lifts k to 3k scattered keys far above the rest, so
+    most blocks' maxima are low and a floor taken from fewer than k blocks
+    would drop some of the top k.
+    """
+    k = draw(st.integers(min_value=1, max_value=100))
+    first = max(8192, 2 * k * 64)  # the smallest n the prefilter runs on
+    n = draw(st.one_of(
+        st.integers(min_value=0, max_value=k),
+        st.integers(min_value=first - 3, max_value=first + 40),
+        st.integers(min_value=first, max_value=2 * first),
+    ))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    keys = rng.integers(-draw(st.sampled_from([0, 1, 3, 30, 10**6])), 1, size=n).astype(np.float64)
+    keys[(keys == 0.0) & (rng.random(n) < 0.5)] = -0.0
+    order = draw(st.sampled_from(["shuffled", "ascending", "descending", "spikes"]))
+    if order == "spikes":
+        spikes = rng.choice(n, size=min(n, draw(st.integers(min_value=k, max_value=3 * k))),
+                            replace=False)
+        keys[spikes] = 1e7 + rng.integers(0, draw(st.sampled_from([3, 10**6])), size=len(spikes))
+    elif order != "shuffled":
+        keys.sort()
+        if order == "descending":
+            keys = keys[::-1].copy()
+    return keys, rng.permutation(n).astype(np.uint32), k
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_max_instances())
+def test_topk_property_block_max_prefilter(instance):
+    keys, rows, k = instance
+    got = list(host_topk(kv(keys, rows), k).rows)
+    assert got == oracle_topk_rows(keys.tolist(), rows.tolist(), k)
+
+
+def test_topk_peak_memory_is_about_one_byte_per_row():
+    # The prefilter's only full-length array is its bool mask; a select over
+    # all rows would write an 8-byte index per row.
+    n = 1_000_000
+    keys = random_key_vector(n, 8)
+    tracemalloc.start()
+    try:
+        got = host_topk(keys, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 100
+    assert peak <= 2 * n, f"{peak / n:.2f} bytes per row"
 
 
 def test_probe_hand_case():
