@@ -9,9 +9,9 @@ maximum, and keeps the few rows at or above it; argpartition then selects
 the k largest of those, and only those k are sorted. That is O(n + k log k)
 with about 1 byte per row of scratch (the compare's mask), where an
 argpartition over all n writes an 8-byte index per row. A tie-heavy input,
-where more than half the rows reach the threshold, runs argpartition over
-all n. The proxy device runs the same two steps, a selection per chunk and
-one merge.
+where more than half of a sample of one key per block reaches the
+threshold, runs argpartition over all n. The proxy device runs the same two
+steps, a selection per chunk and one merge.
 
 The join keeps the host_hash_build/host_hash_probe names of a hash join, but
 its build side is a sorted index: the build keys' bits in a stable ascending
@@ -126,10 +126,11 @@ def topk_candidates(keys: np.ndarray, rows: np.ndarray, k: int):
     and every key tied with it survives `keys >= floor`. Blocks are
     m // 2k rows wide, at most 1024, so there are at least 2k of them and
     every other block still gives k maxima: the max pass reads half the
-    keys. Below 8192 rows or 64-row blocks the prefilter's fixed cost and
-    weak floor outweigh what it saves on random keys, and with more than
-    half the rows reaching floor (ties) it saves nothing; the select then
-    runs on all m rows.
+    keys. It runs from 64-row blocks (m >= 128k), where the floor is strong
+    enough to pay for itself, and from 8192 rows, where its fixed cost of
+    about 20 us does; the second bound matters only for k < 64. When more
+    than half the blocks' first keys reach floor (ties), the compare would
+    keep most rows and save nothing, so the select runs on all m rows.
     """
     m = len(keys)
     if m <= k:
@@ -139,14 +140,12 @@ def topk_candidates(keys: np.ndarray, rows: np.ndarray, k: int):
         blocks = keys[: m // width * width].reshape(-1, width)
         maxima = blocks[::2].max(axis=1)
         floor = np.partition(maxima, len(maxima) - k)[len(maxima) - k]
-        # each block's first key samples the rows, so a tie-heavy input
-        # skips the mask pass; the exact count then bounds the gather
+        # each block's first key samples the rows: a tie-heavy input, where
+        # the compare would keep most of them, skips it
         if np.count_nonzero(blocks[:, 0] >= floor) <= len(blocks) // 2:
-            keep = keys >= floor
-            if np.count_nonzero(keep) <= m // 2:
-                pos = np.flatnonzero(keep)
-                keys, rows = keys[pos], rows[pos]
-                m = len(keys)
+            pos = np.flatnonzero(keys >= floor)
+            keys, rows = keys[pos], rows[pos]
+            m = len(keys)
     kth = m - k
     top_pos = np.argpartition(keys, kth)[kth:]
     boundary = keys[top_pos].min()
