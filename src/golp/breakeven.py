@@ -1,6 +1,6 @@
 """Curve fitting and crossover solving for host-vs-device cost curves.
 
-The fits describe the measured curves: the host's a*n*log2(n)+b (sort family)
+The fits describe the measured curves: the host full sort's a*n*log2(n)+b
 and the key-only transfer's c*n+d, each with its residual and R^2. The
 break-even size n_star is the root of a gain function, host cost minus device
 cost, that the caller supplies; golp.gate.break_even_n hands it the gate's own

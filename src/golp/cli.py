@@ -144,12 +144,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         else:
             # a measured run gates on constants calibrated from itself and is
             # validated against its own Top-K curves
+            alpha, beta = calibrate_cpu_model(
+                [(OP_FULL_SORT, n, spec.k, s) for n, s in sort_medians])
             gate = dataclasses.replace(
                 gate,
-                cpu_model=calibrate_cpu_model([
-                    (OP_FULL_SORT, n, spec.k, s) for n, s in sort_medians
-                ]),
-                profile=calibrate_profile(key_only, op=OP_TOPK),
+                cpu_model=dataclasses.replace(gate.cpu_model, alpha_sort=alpha, beta_sort=beta),
+                profile=calibrate_profile(key_only),
             )
             topk_medians = [(r.n, r.median_s) for r in scaling if r.op == OP_TOPK]
             sweep = breakeven_rows_from_runs(topk_medians, key_only)
@@ -241,7 +241,7 @@ def read_sweep_csv(path) -> list[tuple[float, float, float]]:
 def cmd_fit(args: argparse.Namespace) -> int:
     """Solves the crossover of the gate's config with the fitted curves in place.
 
-    The host's sort family takes a and b, the key-only transfer takes the
+    The host's sort line takes a and b, the key-only transfer takes the
     bandwidth KEY_ENTRY_BYTES / c, and d adds to the launch overhead.
     """
     rc = load_run_config(args)

@@ -55,27 +55,26 @@ OP_PROBE = "probe"
 _TINY_RATE = 1e-12
 
 
-def _log2_n(n: int, k: int) -> float:
-    return math.log2(max(n, 2))
-
-
-def _k(n: int, k: int) -> float:
-    return k
+def _sort_line(model: "CpuCostModel") -> tuple[float, float]:
+    """The (alpha, beta) that Top-K and the full sort share."""
+    return model.alpha_sort, model.beta_sort
 
 
 @dataclass(frozen=True)
 class OpSpec:
     """Everything the cost models, the gate and the backends know about one op.
 
-    The host cost is alpha * n * row_factor(n, k) + beta, with alpha and beta
-    the CpuCostModel pair alpha_<cpu_family>, beta_<cpu_family>. An op whose
-    kernel_rate (a DeviceProfile field) is None runs on the host only.
+    The host cost is alpha * n * host_factor(n, k) + beta, where
+    host_line(cpu_model) gives the golp.gate.CpuCostModel pair (alpha, beta);
+    ops that share a host_line share those constants. kernel_rate(profile) is
+    the DeviceProfile's seconds per row; an op whose kernel_rate is None runs
+    on the host only.
     """
 
     name: str
-    cpu_family: str
-    row_factor: Callable[[int, int], float]
-    kernel_rate: Optional[str]
+    host_factor: Callable[[int, int], float]
+    host_line: Callable[["CpuCostModel"], tuple[float, float]]
+    kernel_rate: Optional[Callable[["DeviceProfile"], float]]
     returned_row_bytes: Optional[int]
     joins: bool  # the query's tables are (build, probe) and it returns matches
 
@@ -97,9 +96,11 @@ class OpSpec:
 
 
 OPS = {spec.name: spec for spec in (
-    OpSpec(OP_TOPK, "sort", _log2_n, "kernel_rate_topk", ROW_ID_BYTES, joins=False),
-    OpSpec(OP_FULL_SORT, "sort", _log2_n, None, None, joins=False),
-    OpSpec(OP_PROBE, "match", _k, "kernel_rate_probe", 2 * ROW_ID_BYTES, joins=True),
+    OpSpec(OP_TOPK, lambda n, k: math.log2(max(n, 2)), _sort_line,
+           lambda p: p.kernel_rate_topk, ROW_ID_BYTES, joins=False),
+    OpSpec(OP_FULL_SORT, lambda n, k: math.log2(max(n, 2)), _sort_line, None, None, joins=False),
+    OpSpec(OP_PROBE, lambda n, k: k, lambda m: (m.alpha_match, m.beta_match),
+           lambda p: p.kernel_rate_probe, 2 * ROW_ID_BYTES, joins=True),
 )}
 
 
@@ -236,7 +237,7 @@ def estimate_device_cost(
         h2d_bytes=h2d_bytes,
         d2h_bytes=d2h_bytes,
         t_h2d=h2d_bytes / profile.h2d_bandwidth,
-        t_kernel=profile.launch_overhead + getattr(profile, spec.kernel_rate) * (n + build_n),
+        t_kernel=profile.launch_overhead + spec.kernel_rate(profile) * (n + build_n),
         t_d2h=d2h_bytes / profile.d2h_bandwidth,
         t_post=profile.post_rate * returned,
     )
@@ -449,25 +450,19 @@ def make_device(backend: str, profile: DeviceProfile = DEFAULT_MODELED_PROFILE,
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def calibrate_profile(
-    samples: Sequence[tuple[int, TransferLedger]],
-    op: str = OP_TOPK,
-    probe_samples: Sequence[tuple[int, TransferLedger]] = (),
-) -> DeviceProfile:
-    """Fit a DeviceProfile from measured ledgers of one op family.
+def calibrate_profile(samples: Sequence[tuple[int, TransferLedger]]) -> DeviceProfile:
+    """Fit a DeviceProfile from measured key-only Top-K ledgers.
 
-    samples: (n, ledger) pairs where n is the element count the kernel saw
-    (both sides combined for probes). Needs >= 3 distinct n. Bandwidths come
-    from through-origin fits of bytes against time, launch and kernel rate
-    from a line fit of t_kernel against n, post rate from returned rows
-    against t_post. Every fit is breakeven.fit_nonneg with relative=True,
-    the rule calibrate_cpu_model uses too: residuals are weighed relative to
-    the measured time, so the smallest size is predicted as well as the
-    largest. The d2h bandwidth falls back to the h2d one when no sample
-    returned bytes. kernel_rate_probe falls back to kernel_rate_topk when no
-    probe samples are given (and vice versa).
+    samples: (n, ledger) pairs where n is the row count the kernel saw. Needs
+    >= 3 distinct n. Bandwidths come from through-origin fits of bytes
+    against time, launch and kernel rate from a line fit of t_kernel against
+    n, post rate from returned rows against t_post. Every fit is
+    breakeven.fit_nonneg with relative=True, the rule calibrate_cpu_model
+    uses too: residuals are weighed relative to the measured time, so the
+    smallest size is predicted as well as the largest. The d2h bandwidth
+    falls back to the h2d one when no sample returned bytes, and the probe's
+    kernel rate is the fitted Top-K rate.
     """
-    spec = op_spec(op, on_device=True)
     if len({int(n) for n, _ in samples}) < 3:
         raise CalibrationError("calibration needs at least 3 distinct n values")
 
@@ -490,24 +485,16 @@ def calibrate_profile(
     rate = max(rate, _TINY_RATE)
     launch = max(launch, _TINY_RATE)
 
-    post_slope, _, _, _ = fit_nonneg([led.d2h_bytes / spec.returned_row_bytes for led in ledgers],
-                                     [led.t_post for led in ledgers],
+    returned = [led.d2h_bytes / OPS[OP_TOPK].returned_row_bytes for led in ledgers]
+    post_slope, _, _, _ = fit_nonneg(returned, [led.t_post for led in ledgers],
                                      relative=True, through_origin=True)
     post_rate = max(post_slope, _TINY_RATE)
-
-    if probe_samples:
-        probe_rate, _, _, _ = fit_nonneg([n for n, _ in probe_samples],
-                                         [led.t_kernel for _, led in probe_samples], relative=True)
-        other_rate = max(probe_rate, _TINY_RATE)
-    else:
-        other_rate = rate
-    kernel_rates = {s.kernel_rate: other_rate for s in OPS.values() if s.kernel_rate}
-    kernel_rates[spec.kernel_rate] = rate
 
     return DeviceProfile(
         h2d_bandwidth=h2d_bw,
         d2h_bandwidth=d2h_bw,
         launch_overhead=launch,
+        kernel_rate_topk=rate,
+        kernel_rate_probe=rate,
         post_rate=post_rate,
-        **kernel_rates,
     )

@@ -8,7 +8,7 @@ decision record keeps both estimates so a sweep can be audited offline.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .breakeven import fit_nonneg, solve_break_even
@@ -108,9 +108,8 @@ def estimate_cpu_cost(model: CpuCostModel, op: str, n: int, k: int = 1) -> float
     if n < 0:
         raise ValueError("n must be non-negative")
     spec = op_spec(op)
-    alpha = getattr(model, f"alpha_{spec.cpu_family}")
-    beta = getattr(model, f"beta_{spec.cpu_family}")
-    return alpha * n * spec.row_factor(n, k) + beta
+    alpha, beta = spec.host_line(model)
+    return alpha * n * spec.host_factor(n, k) + beta
 
 
 def estimate_costs(
@@ -224,31 +223,29 @@ def execute_gated(tables, op: str, k: int, config: GateConfig, device=None):
     return result, decision, observed
 
 
-def calibrate_cpu_model(samples: Sequence[tuple]) -> CpuCostModel:
-    """Least-squares cpu constants from (op, n, k, measured_seconds) samples.
+def calibrate_cpu_model(samples: Sequence[tuple]) -> tuple[float, float]:
+    """Least-squares (alpha, beta) from (op, n, k, measured_seconds) samples.
 
-    Each op family present needs at least 3 distinct n. Each family is fitted
-    by breakeven.fit_nonneg with relative=True, the rule calibrate_profile
-    uses too: residuals are weighed relative to the measured time, so the
+    Every sample's op must share one host line (Top-K and the full sort
+    share the sort line), and the samples need at least 3 distinct n. The
+    caller writes the pair into that line's CpuCostModel fields. The fit is
+    breakeven.fit_nonneg with relative=True, the rule calibrate_profile uses
+    too: residuals are weighed relative to the measured time, so the
     smallest size is predicted as well as the largest, and the coefficients
     stay non-negative. A calibration where nothing grows is rejected.
     """
-    by_family: dict[str, list[tuple[float, float, float]]] = {}
-    for op, n, k, seconds in samples:
-        spec = op_spec(op)
-        by_family.setdefault(spec.cpu_family, []).append(
-            (n, float(n) * spec.row_factor(n, k), seconds)
-        )
-    if not by_family:
+    specs = [op_spec(op) for op, _, _, _ in samples]
+    if not specs:
         raise CalibrationError("no calibration samples")
-    coefficients = {f.name: 0.0 for f in fields(CpuCostModel)}
-    for family, points in by_family.items():
-        if len({int(n) for n, _, _ in points}) < 3:
-            raise CalibrationError(f"{family}-family calibration needs >= 3 distinct n")
-        coefficients[f"alpha_{family}"], coefficients[f"beta_{family}"], _, _ = fit_nonneg(
-            [x for _, x, _ in points], [y for _, _, y in points], relative=True
-        )
-    model = CpuCostModel(**coefficients)
-    if model.alpha_sort == 0.0 and model.alpha_match == 0.0:
-        raise CalibrationError("calibration found no growth in either op family")
-    return model
+    if len({spec.host_line for spec in specs}) > 1:
+        raise CalibrationError("calibration samples span more than one host line")
+    if len({int(n) for _, n, _, _ in samples}) < 3:
+        raise CalibrationError("calibration needs >= 3 distinct n")
+    alpha, beta, _, _ = fit_nonneg(
+        [float(n) * spec.host_factor(n, k) for spec, (_, n, k, _) in zip(specs, samples)],
+        [seconds for _, _, _, seconds in samples],
+        relative=True,
+    )
+    if alpha == 0.0:
+        raise CalibrationError("calibration found no growth")
+    return alpha, beta

@@ -204,7 +204,7 @@ def run_scaling_baseline(
     """Host engine cost per n for full_sort and topk (fig3 rows).
 
     On a virtual clock the rows are cost-model values (both ops share the
-    sort-family curve, and the numbers are reproducible bit for bit) and no
+    cpu model's sort line, and the numbers are reproducible bit for bit) and no
     host primitive runs; on a wall clock the real host primitives are timed,
     discarding one warmup run per cell.
     """

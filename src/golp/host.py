@@ -153,8 +153,9 @@ def topk_candidates(keys: np.ndarray, rows: np.ndarray, k: int):
     need = k - len(greater_pos)
     eq_pos = np.flatnonzero(keys == boundary)
     if len(eq_pos) > need:
-        # ties at the boundary resolve toward smaller row ids
-        eq_pos = eq_pos[np.argsort(rows[eq_pos], kind="stable")[:need]]
+        # ties at the boundary resolve toward smaller row ids; row ids are
+        # unique, so selecting the need smallest suffices and merge_topk orders them
+        eq_pos = eq_pos[np.argpartition(rows[eq_pos], need - 1)[:need]]
     pos = np.concatenate([greater_pos, eq_pos])
     return keys[pos], rows[pos]
 

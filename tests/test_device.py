@@ -10,7 +10,6 @@ from golp.device import (
     DEFAULT_MODELED_PROFILE,
     FULL_ROW,
     KEY_ONLY,
-    OP_PROBE,
     OP_TOPK,
     DeviceProfile,
     ModeledDevice,
@@ -228,7 +227,11 @@ def test_proxy_topk_matches_host_multi_chunk():
         assert len(spans) == 4
         assert all((keys.keys[lo:hi] == kth).sum() > k for lo, hi in spans)
         res = dev.topk(keys, k)
-    assert list(res.payload.rows) == expect
+        assert list(res.payload.rows) == expect
+        # every key tied with the boundary, the row ids shuffled
+        ties = KeyVector(keys=np.where(keys.keys < 0.0, -0.0, 0.0), rows=keys.rows)
+        res = dev.topk(ties, k)
+        assert list(res.payload.rows) == oracle_topk_rows(ties.keys.tolist(), ties.rows.tolist(), k)
 
 
 def test_proxy_topk_every_chunk_prefilters_through_boundary_ties():
@@ -336,59 +339,17 @@ def test_calibrate_profile_recovers_modeled_constants():
     assert fitted.launch_overhead == pytest.approx(truth.launch_overhead, rel=1e-9)
     assert fitted.kernel_rate_topk == pytest.approx(truth.kernel_rate_topk, rel=1e-9)
     assert fitted.post_rate == pytest.approx(truth.post_rate, rel=1e-9)
-    # no probe samples given: probe rate falls back to the fitted topk rate
+    # the probe's kernel rate is the fitted Top-K rate
     assert fitted.kernel_rate_probe == fitted.kernel_rate_topk
 
 
-def overlap_join_sides(n):
-    """Build/probe halves with unique keys and ~25% of probe keys matching."""
-    nb = n // 2
-    build = kv(np.arange(nb, dtype=np.float64))
-    probe = kv(np.arange(n - nb, dtype=np.float64) + nb // 2)
-    return build, probe
-
-
-def modeled_probe_samples(ns):
-    dev = ModeledDevice(DEFAULT_MODELED_PROFILE)
-    samples = []
-    for n in ns:
-        build, probe = overlap_join_sides(n)
-        samples.append((n, dev.probe(build, probe).ledger))
-    return samples
-
-
-def test_calibrate_profile_uses_probe_samples_for_probe_rate():
-    probe_samples = modeled_probe_samples([8_000, 16_000, 32_000])
-    fitted = calibrate_profile(
-        modeled_topk_samples([100_000, 200_000, 400_000]), probe_samples=probe_samples
-    )
-    assert fitted.kernel_rate_probe == pytest.approx(
-        DEFAULT_MODELED_PROFILE.kernel_rate_probe, rel=1e-9
-    )
-    assert fitted.kernel_rate_topk == pytest.approx(
-        DEFAULT_MODELED_PROFILE.kernel_rate_topk, rel=1e-9
-    )
-
-
-def test_calibrate_profile_from_probe_family():
-    samples = modeled_probe_samples([8_000, 16_000, 32_000])
-    fitted = calibrate_profile(samples, op=OP_PROBE)
-    assert fitted.kernel_rate_probe == pytest.approx(
-        DEFAULT_MODELED_PROFILE.kernel_rate_probe, rel=1e-9
-    )
-    assert fitted.post_rate == pytest.approx(DEFAULT_MODELED_PROFILE.post_rate, rel=1e-9)
-
-
 def test_calibrate_profile_without_returned_bytes_reuses_h2d_bandwidth():
-    # probes with no matches return nothing, so there is no d2h sample to fit
-    dev = ModeledDevice(DEFAULT_MODELED_PROFILE)
-    samples = []
-    for n in (8_000, 16_000, 32_000):
-        build = kv(np.arange(n // 2, dtype=np.float64))
-        probe = kv(np.arange(n - n // 2, dtype=np.float64) + n)
-        samples.append((n, dev.probe(build, probe).ledger))
-    assert all(led.d2h_bytes == 0 for _, led in samples)
-    fitted = calibrate_profile(samples, op=OP_PROBE)
+    # Top-K ledgers that returned nothing leave no d2h sample to fit
+    samples = [
+        (n, TransferLedger.build(led.h2d_bytes, 0, led.t_h2d, led.t_kernel, 0.0, 0.0))
+        for n, led in modeled_topk_samples([100_000, 200_000, 400_000])
+    ]
+    fitted = calibrate_profile(samples)
     assert fitted.d2h_bandwidth == fitted.h2d_bandwidth
     assert fitted.h2d_bandwidth == pytest.approx(DEFAULT_MODELED_PROFILE.h2d_bandwidth, rel=1e-9)
 
@@ -436,8 +397,6 @@ def test_calibrate_profile_needs_three_distinct_sizes():
     dup = modeled_topk_samples([1_000, 1_000, 2_000])
     with pytest.raises(CalibrationError):
         calibrate_profile(dup)
-    with pytest.raises(ValueError):
-        calibrate_profile(modeled_topk_samples([1_000, 2_000, 4_000]), op="scan")
 
 
 def test_proxy_profile_predicts_proxy_totals():

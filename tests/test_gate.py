@@ -249,26 +249,57 @@ def test_partial_cpu_model_section_falls_back_key_by_key():
     assert cfg.profile == dataclasses.replace(DEFAULT_MODELED_PROFILE, h2d_bandwidth=5e9)
 
 
+def test_each_config_key_moves_only_the_estimates_of_its_ops():
+    # the run config's cpu_model and profile keys reach the ops through OPS:
+    # Top-K and the full sort share the sort line, the probe has its own
+    def estimates(obj):
+        cfg = GateConfig.from_json_dict(obj)
+        host = {op: estimate_cpu_cost(cfg.cpu_model, op, 100_000, 10)
+                for op in (OP_TOPK, OP_FULL_SORT, OP_PROBE)}
+        dev = {op: estimate_device_cost(op, 100_000, 10, profile=cfg.profile, build_n=5_000).total
+               for op in (OP_TOPK, OP_PROBE)}
+        return host, dev
+
+    def moved(obj):
+        (host, dev), (host0, dev0) = estimates(obj), estimates({})
+        return ({op for op in host if host[op] != host0[op]},
+                {op for op in dev if dev[op] != dev0[op]})
+
+    assert moved({"cpu_model": {"alpha_sort": 3e-10}}) == ({OP_TOPK, OP_FULL_SORT}, set())
+    assert moved({"cpu_model": {"alpha_match": 9e-10}}) == ({OP_PROBE}, set())
+    assert moved({"profile": {"kernel_rate_probe": 0.9e-9}}) == (set(), {OP_PROBE})
+
+
 def test_calibrate_cpu_model_recovers_exact_constants():
+    # Top-K and the full sort share the sort line, so their samples fit together
     truth = CpuCostModel(alpha_sort=2e-10, beta_sort=3e-6, alpha_match=4e-10, beta_match=2e-6)
     samples = []
     for n in (10_000, 100_000, 1_000_000):
         samples.append((OP_FULL_SORT, n, 1, estimate_cpu_cost(truth, OP_FULL_SORT, n)))
-        samples.append((OP_PROBE, n, 7, estimate_cpu_cost(truth, OP_PROBE, n, 7)))
-    fitted = calibrate_cpu_model(samples)
-    assert fitted.alpha_sort == pytest.approx(truth.alpha_sort, rel=1e-9)
-    assert fitted.beta_sort == pytest.approx(truth.beta_sort, rel=1e-9)
-    assert fitted.alpha_match == pytest.approx(truth.alpha_match, rel=1e-9)
-    assert fitted.beta_match == pytest.approx(truth.beta_match, rel=1e-9)
+        samples.append((OP_TOPK, 2 * n, 7, estimate_cpu_cost(truth, OP_TOPK, 2 * n, 7)))
+    alpha, beta = calibrate_cpu_model(samples)
+    assert alpha == pytest.approx(truth.alpha_sort, rel=1e-9)
+    assert beta == pytest.approx(truth.beta_sort, rel=1e-9)
+    probe = [(OP_PROBE, n, 7, estimate_cpu_cost(truth, OP_PROBE, n, 7)) for n in (10, 100, 1_000)]
+    alpha, beta = calibrate_cpu_model(probe)
+    assert alpha == pytest.approx(truth.alpha_match, rel=1e-9)
+    assert beta == pytest.approx(truth.beta_match, rel=1e-9)
 
 
 def test_calibrate_cpu_model_sort_family_alone():
     samples = [(OP_TOPK, n, 100, 1e-10 * n * math.log2(n) + 1e-6)
                for n in (1_000, 10_000, 100_000)]
-    fitted = calibrate_cpu_model(samples)
-    assert fitted.alpha_sort == pytest.approx(1e-10, rel=1e-9)
-    assert fitted.alpha_match == 0.0
-    assert fitted.beta_match == 0.0
+    alpha, beta = calibrate_cpu_model(samples)
+    assert alpha == pytest.approx(1e-10, rel=1e-9)
+    assert beta == pytest.approx(1e-6, rel=1e-9)
+
+
+def test_calibrate_cpu_model_rejects_samples_of_two_host_lines():
+    # one (alpha, beta) cannot describe the sort line and the probe's at once
+    samples = [(op, n, 1, 1e-9 * n + 1e-6)
+               for op in (OP_FULL_SORT, OP_PROBE) for n in (10, 100, 1_000)]
+    with pytest.raises(CalibrationError, match="more than one host line"):
+        calibrate_cpu_model(samples)
 
 
 def test_calibrate_cpu_model_predicts_small_sizes_as_well_as_large():
@@ -276,7 +307,8 @@ def test_calibrate_cpu_model_predicts_small_sizes_as_well_as_large():
     # 3M decide and predicts 1k at 0.16x its measured time
     medians = {1_000: 22e-6, 10_000: 42e-6, 100_000: 323e-6, 500_000: 2_055e-6,
                1_000_000: 5_750e-6, 3_000_000: 22_649e-6}
-    fitted = calibrate_cpu_model([(OP_TOPK, n, 100, t) for n, t in medians.items()])
+    alpha, beta = calibrate_cpu_model([(OP_TOPK, n, 100, t) for n, t in medians.items()])
+    fitted = dataclasses.replace(DEFAULT_CPU_MODEL, alpha_sort=alpha, beta_sort=beta)
     worst = max(abs(estimate_cpu_cost(fitted, OP_TOPK, n, 100) - t) / t
                 for n, t in medians.items())
     assert worst <= 0.5, f"largest relative residual {worst:.2f}"
@@ -285,7 +317,7 @@ def test_calibrate_cpu_model_predicts_small_sizes_as_well_as_large():
 def test_calibrate_cpu_model_input_validation():
     with pytest.raises(CalibrationError):
         calibrate_cpu_model([])
-    with pytest.raises(CalibrationError):  # only 2 distinct n in the family
+    with pytest.raises(CalibrationError):  # only 2 distinct n
         calibrate_cpu_model([(OP_FULL_SORT, 10, 1, 1e-3), (OP_FULL_SORT, 20, 1, 2e-3)])
     with pytest.raises(CalibrationError):  # flat measurements: nothing grows
         calibrate_cpu_model([(OP_FULL_SORT, n, 1, 5e-3) for n in (10, 20, 40)])
@@ -332,13 +364,14 @@ def test_full_sort_has_no_device_path():
 
 
 def test_calibrate_cpu_model_clamps_negative_slope_to_zero():
-    # decreasing sort timings (noise artifact) clamp to a flat sort model;
-    # the growing match family keeps the calibration as a whole valid
+    # decreasing timings (noise artifact) clamp to a flat line rather than a
+    # negative slope, and a line that does not grow is rejected
     samples = [(OP_FULL_SORT, n, 1, t) for n, t in ((10, 3e-3), (100, 2e-3), (1_000, 1e-3))]
-    samples += [(OP_PROBE, n, 1, 1e-9 * n + 1e-6) for n in (10, 100, 1_000)]
-    fitted = calibrate_cpu_model(samples)
-    assert fitted.alpha_sort == 0.0
-    # the flat fit weighs each time by 1/y**2, so beta is the weighted mean
-    # sum(y / y**2) / sum(1 / y**2) = (1833.3...) / (1361111.1...) = 33 / 24500
-    assert fitted.beta_sort == pytest.approx(1.346938775510204e-3, rel=1e-9)
-    assert fitted.alpha_match == pytest.approx(1e-9, rel=1e-9)
+    slope, intercept, _, _ = fit_nonneg([n * math.log2(n) for _, n, _, _ in samples],
+                                        [t for _, _, _, t in samples], relative=True)
+    assert slope == 0.0
+    # the flat fit weighs each time by 1/y**2, so the intercept is the weighted
+    # mean sum(y / y**2) / sum(1 / y**2) = (1833.3...) / (1361111.1...) = 33 / 24500
+    assert intercept == pytest.approx(1.346938775510204e-3, rel=1e-9)
+    with pytest.raises(CalibrationError, match="no growth"):
+        calibrate_cpu_model(samples)

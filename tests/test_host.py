@@ -72,6 +72,11 @@ def test_topk_saturates_when_k_exceeds_n():
 def test_topk_tie_rule_prefers_low_row_id():
     got = host_topk(kv([7, 7, 7, 7], [9, 2, 5, 1]), 2)
     assert list(got.rows) == [1, 2]
+    # every key tied with the boundary, the row ids shuffled
+    keys = np.full(20_000, 7.0)
+    rows = np.random.default_rng(72).permutation(len(keys)).astype(np.uint32)
+    got = host_topk(kv(keys, rows), 100)
+    assert list(got.rows) == oracle_topk_rows(keys.tolist(), rows.tolist(), 100)
 
 
 def test_topk_rejects_bad_k():
@@ -101,11 +106,15 @@ def test_topk_equals_prefix_of_descending_full_sort():
 @given(
     st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=40),
     st.integers(min_value=1, max_value=45),
+    st.randoms(use_true_random=False),
 )
-def test_topk_property_heavy_ties(key_ints, k):
+def test_topk_property_heavy_ties(key_ints, k, rnd):
     keys = [float(v) for v in key_ints]
     got = list(host_topk(kv(keys), k).rows)
     assert got == oracle_topk_rows(keys, range(len(keys)), k)
+    rows = rnd.sample(range(len(keys)), len(keys))
+    got = list(host_topk(kv(keys, rows), k).rows)
+    assert got == oracle_topk_rows(keys, rows, k)
 
 
 @st.composite
