@@ -117,7 +117,7 @@ def _solve_with_sweep(gate: GateConfig, spec: WorkloadSpec, sweep: Sequence[Brea
     exporting all the same.
     """
     try:
-        n_star = break_even_n(gate, spec.k, spec.payload_bytes)
+        n_star = break_even_n(gate, spec.k)
     except NoCrossingError as exc:
         print(f"warning: no n_star: {exc}", file=sys.stderr)
         return None
@@ -258,9 +258,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
             h2d_bandwidth=KEY_ENTRY_BYTES / fit.c,
             launch_overhead=rc.gate.profile.launch_overhead + fit.d,
         ),
-        mode=KEY_ONLY,
     )
-    n_star = break_even_n(gate, rc.workload.k, rc.workload.payload_bytes)
+    n_star = break_even_n(gate, rc.workload.k)
     be = (validate_break_even(n_star, read_sweep_csv(args.sweep))
           if args.sweep else BreakEven(n_star))
     out_doc = dataclasses.asdict(fit)
@@ -297,7 +296,7 @@ def cmd_gate_sim(args: argparse.Namespace) -> int:
     for margin in margins:
         cfg = dataclasses.replace(gate, margin_s=margin)
         for n in spec.n_grid:
-            d = decide(cfg, OP_TOPK, n, spec.k, payload_bytes=spec.payload_bytes)
+            d = decide(cfg, OP_TOPK, n, spec.k)
             lines.append(
                 f"{n},{margin:.9f},{d.path},{d.c_cpu_est:.9f},"
                 f"{d.c_gpu_est:.9f},{d.gain:.9f}"

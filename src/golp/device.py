@@ -46,7 +46,6 @@ from .store import KEY_BYTES, KEY_ENTRY_BYTES, ROW_ID_BYTES, KeyVector
 
 KEY_ONLY = "key_only"
 FULL_ROW = "full_row"
-MODES = (KEY_ONLY, FULL_ROW)
 
 OP_TOPK = "topk"
 OP_FULL_SORT = "full_sort"
@@ -78,17 +77,16 @@ class OpSpec:
     returned_row_bytes: Optional[int]
     joins: bool  # the query's tables are (build, probe) and it returns matches
 
-    def shape(self, tables) -> tuple[int, int, int, Optional[int]]:
-        """(n, build_n, payload_bytes, build_payload_bytes) of a query's tables.
+    def shape(self, tables) -> tuple[int, int]:
+        """(n, build_n) row counts of a query's tables.
 
-        A join's tables are (build, probe): n and payload_bytes are the probe
-        side's, build_n and build_payload_bytes the build side's. A
-        single-table op has no build side: (n, 0, payload_bytes, None).
+        A join's tables are (build, probe): n is the probe side's row count,
+        build_n the build side's. A single-table op has no build side: (n, 0).
         """
         if self.joins:
             build, probe = tables
-            return probe.row_count, build.row_count, probe.payload_bytes, build.payload_bytes
-        return tables.row_count, 0, tables.payload_bytes, None
+            return probe.row_count, build.row_count
+        return tables.row_count, 0
 
     def returned(self, n: int, k: int) -> int:
         """Rows a device call returns: min(k, n) for a Top-K, k matches for a join."""

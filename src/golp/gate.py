@@ -15,7 +15,6 @@ from .breakeven import fit_nonneg, solve_break_even
 from .device import (
     DEFAULT_MODELED_PROFILE,
     KEY_ONLY,
-    MODES,
     OP_TOPK,
     DeviceProfile,
     ModeledDevice,
@@ -67,18 +66,17 @@ class GateConfig:
     min_n_guard: Optional[int] = None
     cpu_model: CpuCostModel = DEFAULT_CPU_MODEL
     profile: DeviceProfile = DEFAULT_MODELED_PROFILE
-    mode: str = KEY_ONLY
 
     def __post_init__(self) -> None:
         if self.margin_s < 0.0:
             raise ValueError("margin_s must be non-negative")
         if self.min_n_guard is not None and self.min_n_guard < 0:
             raise ValueError("min_n_guard must be non-negative when set")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown transfer mode {self.mode!r}")
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GateConfig":
+        if obj.get("mode", KEY_ONLY) != KEY_ONLY:
+            raise ValueError(f"the gate ships keys only; mode {obj['mode']!r} is not supported")
         kwargs = {}
         if "margin_s" in obj:
             kwargs["margin_s"] = float(obj["margin_s"])
@@ -89,8 +87,6 @@ class GateConfig:
             kwargs["cpu_model"] = CpuCostModel.from_json_dict(obj["cpu_model"])
         if "profile" in obj:
             kwargs["profile"] = DeviceProfile.from_json_dict(obj["profile"])
-        if "mode" in obj:
-            kwargs["mode"] = str(obj["mode"])
         return cls(**kwargs)
 
 
@@ -113,40 +109,24 @@ def estimate_cpu_cost(model: CpuCostModel, op: str, n: int, k: int = 1) -> float
 
 
 def estimate_costs(
-    config: GateConfig,
-    op: str,
-    n: float,
-    k: int = 1,
-    payload_bytes: Optional[int] = None,
-    build_n: int = 0,
-    build_payload_bytes: Optional[int] = None,
+    config: GateConfig, op: str, n: float, k: int = 1, build_n: int = 0
 ) -> tuple[float, float]:
     """(host, device) cost estimates of one query: the pair decide compares.
 
-    For probes, n is the probe-side row count (the cpu model's input) and
-    build_n the build side, so the device estimate covers both transfers,
-    each at its own table's payload width. Single-table ops have no build
-    side.
+    The gate always ships keys only, 12 bytes per row whatever the tables'
+    payload width. For probes, n is the probe-side row count (the cpu
+    model's input) and build_n the build side, so the device estimate covers
+    both transfers. Single-table ops have no build side.
     """
     c_cpu = estimate_cpu_cost(config.cpu_model, op, n, k)
-    c_gpu = estimate_device_cost(
-        op, n, k, config.mode, payload_bytes, config.profile, build_n, build_payload_bytes
-    ).total
+    c_gpu = estimate_device_cost(op, n, k, profile=config.profile, build_n=build_n).total
     return c_cpu, c_gpu
 
 
-def decide(
-    config: GateConfig,
-    op: str,
-    n: int,
-    k: int = 1,
-    payload_bytes: Optional[int] = None,
-    build_n: int = 0,
-    build_payload_bytes: Optional[int] = None,
-) -> GateDecision:
+def decide(config: GateConfig, op: str, n: int, k: int = 1, build_n: int = 0) -> GateDecision:
     """Pure decision rule: guard first, then strict gain > margin."""
     guard = config.min_n_guard is not None and n < config.min_n_guard
-    c_cpu, c_gpu = estimate_costs(config, op, n, k, payload_bytes, build_n, build_payload_bytes)
+    c_cpu, c_gpu = estimate_costs(config, op, n, k, build_n)
     gain = c_cpu - c_gpu
     path = DEVICE if (not guard and gain > config.margin_s) else HOST
     return GateDecision(
@@ -159,7 +139,7 @@ def decide(
     )
 
 
-def break_even_n(config: GateConfig, k: int, payload_bytes: Optional[int] = None) -> float:
+def break_even_n(config: GateConfig, k: int) -> float:
     """Top-K size where decide's gain turns positive: n_star.
 
     The config's margin and guard do not enter the solve: at margin 0 and
@@ -169,7 +149,7 @@ def break_even_n(config: GateConfig, k: int, payload_bytes: Optional[int] = None
     Raises NoCrossingError when the gain does not turn positive on [2, 2**40].
     """
     def gain(n: float) -> float:
-        c_cpu, c_gpu = estimate_costs(config, OP_TOPK, n, k, payload_bytes)
+        c_cpu, c_gpu = estimate_costs(config, OP_TOPK, n, k)
         return c_cpu - c_gpu
 
     return solve_break_even(gain)
@@ -185,28 +165,24 @@ def execute_path(tables, op: str, k: int, config: GateConfig, device, path: str)
     spec = op_spec(op, on_device=True)
     n = spec.shape(tables)[0]
     return device.timed(
-        lambda: _run_query(tables, spec, k, config, device, path),
+        lambda: _run_query(tables, spec, k, device, path),
         estimate_cpu_cost(config.cpu_model, op, n, k),
     )
 
 
-def _run_query(tables, spec: OpSpec, k: int, config: GateConfig, device, path: str):
+def _run_query(tables, spec: OpSpec, k: int, device, path: str):
     """(result, ledger) of one query; the host path keeps no ledger."""
     if spec.joins:
         build_table, probe_table = tables
         build_keys = extract_keys(build_table)
         probe_keys = extract_keys(probe_table)
         if path == DEVICE:
-            call = device.probe(
-                build_keys, probe_keys, mode=config.mode,
-                payload_bytes=probe_table.payload_bytes,
-                build_payload_bytes=build_table.payload_bytes,
-            )
+            call = device.probe(build_keys, probe_keys)
             return call.payload, call.ledger
         return host_hash_probe(host_hash_build(build_keys), probe_keys), None
     keys = extract_keys(tables)
     if path == DEVICE:
-        call = device.topk(keys, k, mode=config.mode, payload_bytes=tables.payload_bytes)
+        call = device.topk(keys, k)
         rows, ledger = call.payload.rows, call.ledger
     else:
         rows, ledger = host_topk(keys, k).rows, None
@@ -217,8 +193,8 @@ def execute_gated(tables, op: str, k: int, config: GateConfig, device=None):
     """Decide, then run the chosen path; returns (result, decision, latency)."""
     if device is None:
         device = ModeledDevice(config.profile)
-    n, build_n, payload_bytes, build_payload_bytes = op_spec(op).shape(tables)
-    decision = decide(config, op, n, k, payload_bytes, build_n, build_payload_bytes)
+    n, build_n = op_spec(op).shape(tables)
+    decision = decide(config, op, n, k, build_n)
     result, observed = execute_path(tables, op, k, config, device, decision.path)
     return result, decision, observed
 

@@ -368,7 +368,7 @@ def run_margin_sweep(
         rate = 0.0
         switch_n: Optional[int] = None
         for n, w in zip(spec.n_grid, weights):
-            d = decide(cfg, OP_TOPK, n, spec.k, payload_bytes=spec.payload_bytes)
+            d = decide(cfg, OP_TOPK, n, spec.k)
             if d.path == DEVICE:
                 rate += w
                 if switch_n is None:
@@ -392,7 +392,7 @@ def model_breakeven_sweep(
         n = min(int(round(x)), hi)
         if n not in seen:
             seen.add(n)
-            cpu_s, device_s = estimate_costs(config, OP_TOPK, n, spec.k, spec.payload_bytes)
+            cpu_s, device_s = estimate_costs(config, OP_TOPK, n, spec.k)
             rows.append(BreakEvenRow(float(n), cpu_s, device_s))
         if n >= hi:
             break

@@ -224,7 +224,7 @@ def test_criterion_06_margin_sweep_is_monotone_and_brackets_the_crossover():
         f"switch sizes not monotone: {switches}"
     )
 
-    n_star = break_even_n(GateConfig(), spec.k, spec.payload_bytes)
+    n_star = break_even_n(GateConfig(), spec.k)
     switch0 = rows[0].switch_n
     below = max(n for n in spec.n_grid if n < switch0)
     assert below < n_star <= switch0, (

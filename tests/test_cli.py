@@ -96,9 +96,9 @@ def test_modeled_bench_n_star_is_where_decide_flips(tmp_path):
     out = tmp_path / "run"
     assert run_cli("bench", "--config", cfg, "--backend", "modeled", "--out", out) == 0
     n_star = json.loads((out / "summary.json").read_text(encoding="utf-8"))["n_star"]
-    k, payload_bytes = 100, 16  # the workload's default k and write_config's payload
-    assert decide(GateConfig(), OP_TOPK, math.floor(n_star), k, payload_bytes).path == HOST
-    assert decide(GateConfig(), OP_TOPK, math.ceil(n_star), k, payload_bytes).path == DEVICE
+    k = 100  # the workload's default k
+    assert decide(GateConfig(), OP_TOPK, math.floor(n_star), k).path == HOST
+    assert decide(GateConfig(), OP_TOPK, math.ceil(n_star), k).path == DEVICE
 
 
 def test_modeled_bench_is_byte_identical_across_runs(tmp_path):
@@ -158,6 +158,18 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys):
     assert "config section 'gate'" in capsys.readouterr().err
 
 
+def test_gate_mode_other_than_key_only_exits_2(tmp_path, capsys):
+    # the gate ships keys only: "key_only" is accepted and changes nothing
+    assert run_cli("gate-sim", "--config", write_config(tmp_path)) == 0
+    default = capsys.readouterr().out
+    cfg = write_config(tmp_path, gate={"mode": "key_only"})
+    assert run_cli("gate-sim", "--config", cfg) == 0
+    assert capsys.readouterr().out == default
+    cfg = write_config(tmp_path, gate={"mode": "full_row"})
+    assert run_cli("gate-sim", "--config", cfg) == 2
+    assert "the gate ships keys only" in capsys.readouterr().err
+
+
 def test_negative_k_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, workload={"k": -5})
     assert run_cli("gate-sim", "--config", cfg) == 2
@@ -173,7 +185,7 @@ def test_partial_gate_sections_fall_back_key_by_key(tmp_path, capsys):
         profile=dataclasses.replace(DEFAULT_MODELED_PROFILE, h2d_bandwidth=5e9),
     )
     for n, _, path, c_cpu, c_gpu, _ in parse_sim(capsys.readouterr().out):
-        d = decide(expected, OP_TOPK, n, 100, payload_bytes=16)
+        d = decide(expected, OP_TOPK, n, 100)
         assert (path, c_cpu, c_gpu) == (d.path, float(f"{d.c_cpu_est:.9f}"),
                                         float(f"{d.c_gpu_est:.9f}"))
 

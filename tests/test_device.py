@@ -10,6 +10,7 @@ from golp.device import (
     DEFAULT_MODELED_PROFILE,
     FULL_ROW,
     KEY_ONLY,
+    OP_PROBE,
     OP_TOPK,
     DeviceProfile,
     ModeledDevice,
@@ -94,6 +95,26 @@ def test_full_row_to_key_only_byte_ratio():
     full = estimate_device_cost(OP_TOPK, n, 100, FULL_ROW, payload_bytes=187)
     key = estimate_device_cost(OP_TOPK, n, 100, KEY_ONLY)
     assert full.t_h2d / key.t_h2d == pytest.approx(195 / 12, rel=1e-12)  # 16.25x
+
+
+def test_full_row_probe_bills_each_side_at_its_own_width():
+    # an 8-byte build table under a 188-byte probe table
+    build, probe = random_key_vector(3_000, 6), random_key_vector(5_000, 7)
+    expect = (8 + 8) * 3_000 + (8 + 188) * 5_000
+    est = estimate_device_cost(OP_PROBE, 5_000, 0, FULL_ROW, 188, EXAMPLE_PROFILE,
+                               build_n=3_000, build_payload_bytes=8)
+    assert est.h2d_bytes == expect
+    assert est.total == pytest.approx(
+        expect / EXAMPLE_PROFILE.h2d_bandwidth
+        + EXAMPLE_PROFILE.launch_overhead + EXAMPLE_PROFILE.kernel_rate_probe * 8_000, rel=1e-12)
+    for device in (ModeledDevice(EXAMPLE_PROFILE), ProxyDevice(workers=2)):
+        with device:
+            call = device.probe(build, probe, mode=FULL_ROW, payload_bytes=188,
+                                build_payload_bytes=8)
+        assert call.payload.match_count == 0
+        assert call.ledger.h2d_bytes == expect
+        if isinstance(device, ModeledDevice):
+            assert call.ledger == est
 
 
 def test_probe_with_no_matches_returns_no_bytes():

@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from golp.breakeven import fit_nonneg
 from golp.device import (
     DEFAULT_MODELED_PROFILE,
-    FULL_ROW,
     OP_FULL_SORT,
     OP_PROBE,
     OP_TOPK,
     DeviceProfile,
     ModeledDevice,
-    ProxyDevice,
     estimate_device_cost,
 )
 from golp.errors import CalibrationError
@@ -34,7 +32,7 @@ from golp.gate import (
     execute_gated,
     execute_path,
 )
-from golp.store import extract_keys, generate_table
+from golp.store import generate_table
 
 # Flat-cost construction: the host always costs 10 ms, the device ~4 ms, so
 # the gain is ~6 ms at every n and the margin alone decides the path.
@@ -117,12 +115,12 @@ def test_break_even_n_is_where_decide_flips_on_a_proxy_like_config():
         cpu_model=CpuCostModel(alpha_sort=3e-9, beta_sort=20e-6, alpha_match=0.0, beta_match=0.0),
         profile=profile,
     )
-    n_star = break_even_n(config, 100, payload_bytes=64)
-    assert decide(config, OP_TOPK, math.floor(n_star), 100, payload_bytes=64).path == HOST
-    assert decide(config, OP_TOPK, math.ceil(n_star), 100, payload_bytes=64).path == DEVICE
+    n_star = break_even_n(config, 100)
+    assert decide(config, OP_TOPK, math.floor(n_star), 100).path == HOST
+    assert decide(config, OP_TOPK, math.ceil(n_star), 100).path == DEVICE
     free_d2h = GateConfig(cpu_model=config.cpu_model,
                           profile=dataclasses.replace(profile, d2h_bandwidth=1e15))
-    assert break_even_n(free_d2h, 100, payload_bytes=64) < n_star - 1.0
+    assert break_even_n(free_d2h, 100) < n_star - 1.0
 
 
 def test_probe_decision_charges_both_transfer_sides():
@@ -130,25 +128,6 @@ def test_probe_decision_charges_both_transfer_sides():
     expect_gpu = estimate_device_cost(OP_PROBE, 10_000, 3, profile=FLAT_DEVICE).total
     assert d.c_gpu_est == expect_gpu
     assert d.c_cpu_est == estimate_cpu_cost(FLAT_CPU, OP_PROBE, 1_000, 3)
-
-
-def test_full_row_probe_bills_each_side_at_its_own_width():
-    build = generate_table(3_000, 8, seed=6)
-    probe = generate_table(5_000, 188, seed=7)
-    expect = (8 + 8) * 3_000 + (8 + 188) * 5_000
-    cfg = GateConfig(mode=FULL_ROW)
-    profile = cfg.profile
-    _, decision, _ = execute_gated((build, probe), OP_PROBE, 0, cfg)
-    assert decision.c_gpu_est == pytest.approx(
-        expect / profile.h2d_bandwidth
-        + profile.launch_overhead + profile.kernel_rate_probe * 8_000, rel=1e-12)
-    result, latency = execute_path((build, probe), OP_PROBE, 0, cfg, ModeledDevice(profile), DEVICE)
-    assert result.match_count == 0 and latency == decision.c_gpu_est
-    for device in (ModeledDevice(profile), ProxyDevice(workers=2)):
-        with device:
-            ledger = device.probe(extract_keys(build), extract_keys(probe), mode=FULL_ROW,
-                                  payload_bytes=188, build_payload_bytes=8).ledger
-        assert ledger.h2d_bytes == expect
 
 
 def test_cpu_cost_formulas():
@@ -189,7 +168,7 @@ def test_execute_gated_agrees_with_decide():
     table = generate_table(3_000_000 // 100, seed=1)  # 30k rows: host regime
     cfg = GateConfig()
     result, decision, observed = execute_gated(table, OP_TOPK, 100, cfg)
-    assert decision == decide(cfg, OP_TOPK, table.row_count, 100, table.payload_bytes)
+    assert decision == decide(cfg, OP_TOPK, table.row_count, 100)
     assert decision.path == HOST
     assert observed == decision.c_cpu_est
     assert len(result.row_ids) == 100
@@ -208,7 +187,7 @@ def test_execute_gated_probe_uses_build_count():
     probe = generate_table(1_000, seed=4)
     cfg = GateConfig(cpu_model=FLAT_CPU, profile=FLAT_DEVICE)
     result, decision, _ = execute_gated((build, probe), OP_PROBE, 1, cfg)
-    expect = decide(cfg, OP_PROBE, 1_000, 1, probe.payload_bytes, build_n=2_000)
+    expect = decide(cfg, OP_PROBE, 1_000, 1, build_n=2_000)
     assert decision == expect
     assert result.probe_count == 1_000
 
@@ -219,8 +198,6 @@ def test_gate_config_validation():
     with pytest.raises(ValueError):
         GateConfig(min_n_guard=-1)
     with pytest.raises(ValueError):
-        GateConfig(mode="compressed")
-    with pytest.raises(ValueError):
         CpuCostModel(alpha_sort=-1e-9, beta_sort=0, alpha_match=0, beta_match=0)
 
 
@@ -230,7 +207,6 @@ def test_gate_config_json_round_trip():
         min_n_guard=1_234,
         cpu_model=CpuCostModel(1e-10, 2e-6, 3e-10, 4e-6),
         profile=FLAT_DEVICE,
-        mode=FULL_ROW,
     )
     assert GateConfig.from_json_dict(dataclasses.asdict(cfg)) == cfg
     assert GateConfig.from_json_dict({}) == GateConfig()

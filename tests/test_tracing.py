@@ -78,12 +78,14 @@ def test_gated_topk_on_the_device_path_records_device_spans(backend):
     assert tracing.transfer_errors(spans) == []
 
 
-@pytest.mark.parametrize("config,expect", [
-    (GateConfig(), {"host.host_hash_build", "host.host_hash_probe"}),
-    (SLOW_HOST, {"device.probe"}),
-], ids=["host", "device"])
-def test_gated_probe_records_its_layer_spans(config, expect):
-    tables = (generate_table(300, 8, seed=3), generate_table(200, 8, seed=4))
+@pytest.mark.parametrize("config,expect,probe_width", [
+    (GateConfig(), {"host.host_hash_build", "host.host_hash_probe"}, 8),
+    (SLOW_HOST, {"device.probe"}, 8),
+    # the gate ships 12 bytes per row on both sides, whatever each table's width
+    (SLOW_HOST, {"device.probe"}, 188),
+], ids=["host", "device", "device-188-byte-probe"])
+def test_gated_probe_records_its_layer_spans(config, expect, probe_width):
+    tables = (generate_table(300, 8, seed=3), generate_table(200, probe_width, seed=4))
     with ProxyDevice(workers=1) as dev:
         _, spans = traced_query(tables, OP_PROBE, config, dev)
     names = query_span_names(spans)
