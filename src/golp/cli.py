@@ -40,6 +40,7 @@ from .harness import (
     run_payload_comparison,
     run_scaling_baseline,
     run_strategy_comparison,
+    workload_tables,
 )
 from .store import KEY_ENTRY_BYTES, generate_table, save_table
 
@@ -133,8 +134,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     spec, gate = rc.workload, rc.gate
 
     with make_device(rc.backend, gate.profile, workers=args.workers) as device:
-        scaling = run_scaling_baseline(spec, device, cpu_model=gate.cpu_model)
-        payload = run_payload_comparison(spec, device=device)
+        tables = workload_tables(spec)
+        scaling = run_scaling_baseline(spec, tables, device, cpu_model=gate.cpu_model)
+        payload = run_payload_comparison(spec, tables, device=device)
         # the one place that picks what calibrates the gate, fits fig3/fig4
         # and forms the measured sweep
         sort_medians = [(r.n, r.median_s) for r in scaling if r.op == OP_FULL_SORT]
@@ -153,7 +155,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
             topk_medians = [(r.n, r.median_s) for r in scaling if r.op == OP_TOPK]
             sweep = breakeven_rows_from_runs(topk_medians, key_only)
-        strategies = run_strategy_comparison(spec, gate, device=device)
+        strategies = run_strategy_comparison(spec, tables, gate, device=device)
     margins = run_margin_sweep(spec, DEFAULT_MARGINS, gate)
     fit = make_fit_result([(float(n), s) for n, s in sort_medians],
                           [(float(n), led.t_h2d) for n, led in key_only])

@@ -319,7 +319,9 @@ class ProxyDevice(_Device):
     virtual_clock = False
 
     def __init__(self, workers: Optional[int] = None):
-        self.workers = max(1, workers if workers is not None else (os.cpu_count() or 1))
+        if workers is not None and workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self._pool = ThreadPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
 
     def close(self) -> None:

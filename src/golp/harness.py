@@ -16,6 +16,7 @@ Exported figure data, one CSV per file:
   fig6_transfer.csv  n,mode,h2d_bytes,t_h2d,t_kernel,t_d2h,t_post,total_s
   fig7_e2e.csv       n,mode,e2e_s,speedup_vs_full_row
 
+Every section reads one seeded table per grid size, built by workload_tables.
 fig4, fig6 and fig7 come from the same (n, mode, ledger) records. fig5 is
 the gate's own Top-K estimates under the modeled backend; under the proxy
 backend it is the measured Top-K host medians against the key-only ledger
@@ -62,7 +63,6 @@ from .store import (
     MASK64,
     ColumnTable,
     generate_table,
-    random_key_vector,
 )
 
 HOST_ONLY = "host_only"
@@ -127,7 +127,6 @@ class LatencyStats:
     median: float
     p95: float
     p99: float
-    mean: float
 
 
 def _nearest_rank(ordered: Sequence[float], p: float) -> float:
@@ -145,7 +144,6 @@ def compute_stats(samples: Sequence[float]) -> LatencyStats:
         median=_nearest_rank(ordered, 0.50),
         p95=_nearest_rank(ordered, 0.95),
         p99=_nearest_rank(ordered, 0.99),
-        mean=math.fsum(ordered) / len(ordered),
     )
 
 
@@ -192,12 +190,15 @@ def query_sizes(spec: WorkloadSpec) -> list[int]:
     return [int(x) for x in draws]
 
 
-def _table_seed(spec_seed: int, n: int) -> int:
-    return (spec_seed ^ mix64(n)) & MASK64
+def workload_tables(spec: WorkloadSpec) -> dict[int, ColumnTable]:
+    """One seeded table per grid size, in grid order: the rows every section reads for n."""
+    return {n: generate_table(n, spec.payload_bytes, seed=(spec.seed ^ mix64(n)) & MASK64)
+            for n in spec.n_grid}
 
 
 def run_scaling_baseline(
     spec: WorkloadSpec,
+    tables: dict[int, ColumnTable],
     device=None,
     cpu_model=None,
 ) -> list[ScalingRow]:
@@ -205,8 +206,8 @@ def run_scaling_baseline(
 
     On a virtual clock the rows are cost-model values (both ops share the
     cpu model's sort line, and the numbers are reproducible bit for bit) and no
-    host primitive runs; on a wall clock the real host primitives are timed,
-    discarding one warmup run per cell.
+    host primitive runs; on a wall clock the real host primitives are timed on
+    tables[n]'s keys, discarding one warmup run per cell.
     """
     if device is None:
         device = ModeledDevice()
@@ -220,7 +221,7 @@ def run_scaling_baseline(
         return rows
 
     for n in spec.n_grid:
-        kv = random_key_vector(n, _table_seed(spec.seed, n))
+        kv = tables[n].key_vector
         for op, run in (
             (OP_FULL_SORT, lambda: host_full_sort(kv)),
             (OP_TOPK, lambda: host_topk(kv, spec.k)),
@@ -237,7 +238,8 @@ def run_scaling_baseline(
     return rows
 
 
-def run_payload_comparison(spec: WorkloadSpec, device=None) -> list[tuple[int, str, TransferLedger]]:
+def run_payload_comparison(spec: WorkloadSpec, tables: dict[int, ColumnTable],
+                           device=None) -> list[tuple[int, str, TransferLedger]]:
     """Full-row vs key-only Top-K offload per n: one (n, mode, ledger) per call.
 
     Records come in grid order, full_row before key_only at each n. fig4,
@@ -248,9 +250,9 @@ def run_payload_comparison(spec: WorkloadSpec, device=None) -> list[tuple[int, s
         device = ModeledDevice()
     records: list[tuple[int, str, TransferLedger]] = []
     for n in spec.n_grid:
-        kv = random_key_vector(n, _table_seed(spec.seed, n))
+        kv = tables[n].key_vector
         for mode in (FULL_ROW, KEY_ONLY):
-            call = device.topk(kv, spec.k, mode=mode, payload_bytes=spec.payload_bytes)
+            call = device.topk(kv, spec.k, mode=mode, payload_bytes=tables[n].payload_bytes)
             records.append((n, mode, call.ledger))
     return records
 
@@ -275,6 +277,7 @@ def _fingerprint(result) -> tuple:
 
 def run_strategy_comparison(
     spec: WorkloadSpec,
+    tables: dict[int, ColumnTable],
     config: GateConfig,
     device=None,
 ) -> tuple[StrategyRun, StrategyRun, StrategyRun]:
@@ -290,10 +293,6 @@ def run_strategy_comparison(
     if device is None:
         device = ModeledDevice(config.profile)
     sizes = query_sizes(spec)
-    tables = {
-        n: generate_table(n, spec.payload_bytes, seed=_table_seed(spec.seed, n))
-        for n in spec.n_grid
-    }
 
     first_answers: dict[int, tuple[str, tuple]] = {}
     runs: list[StrategyRun] = []

@@ -34,6 +34,7 @@ from golp.harness import (
     run_payload_comparison,
     run_scaling_baseline,
     run_strategy_comparison,
+    workload_tables,
 )
 from golp.host import host_hash_build, host_hash_probe, host_topk
 from golp.store import KeyVector
@@ -171,7 +172,7 @@ def test_criterion_04_measured_curves_fit_their_bases():
     t0 = time.perf_counter()
     spec = WorkloadSpec(n_grid=(10_000, 50_000, 100_000, 500_000, 1_000_000), repeats=31)
     with ProxyDevice(workers=1) as device:
-        scaling = run_scaling_baseline(spec, device)
+        scaling = run_scaling_baseline(spec, workload_tables(spec), device)
     cpu_pts = [(float(r.n), r.median_s) for r in scaling if r.op == "full_sort"]
 
     proxy = ProxyDevice(workers=2)
@@ -200,7 +201,7 @@ def test_criterion_04_measured_curves_fit_their_bases():
 def test_criterion_05_small_queries_never_benefit_from_the_device():
     spec = WorkloadSpec(n_grid=(1_000, 5_000, 10_000), repeats=3)
     config = GateConfig(min_n_guard=20_000)
-    host, device, gated = run_strategy_comparison(spec, config)
+    host, device, gated = run_strategy_comparison(spec, workload_tables(spec), config)
     for n in spec.n_grid:
         assert device.per_n[n].median > host.per_n[n].median, (
             f"device_always should lose at n={n}"
@@ -237,7 +238,7 @@ def test_criterion_06_margin_sweep_is_monotone_and_brackets_the_crossover():
 def test_criterion_07_gated_wins_the_tail_on_a_mixed_workload():
     spec = WorkloadSpec(n_grid=(10_000, 1_000_000), repeats=250, mix=(0.8, 0.2), seed=3)
     assert len(spec.n_grid) * spec.repeats == 500
-    host, device, gated = run_strategy_comparison(spec, GateConfig())
+    host, device, gated = run_strategy_comparison(spec, workload_tables(spec), GateConfig())
     host_stats = compute_stats(host.all_samples())
     device_stats = compute_stats(device.all_samples())
     gated_stats = compute_stats(gated.all_samples())
@@ -261,13 +262,14 @@ def test_criterion_08_key_only_end_to_end_speedup():
         return e2e[FULL_ROW] / e2e[KEY_ONLY]
 
     spec = WorkloadSpec(n_grid=(3_000_000,), repeats=1)
-    speedup = key_only_speedup(run_payload_comparison(spec))
+    speedup = key_only_speedup(run_payload_comparison(spec, workload_tables(spec)))
     assert speedup >= 10.0, f"modeled key-only speedup {speedup:.2f}x < 10x"
 
     proxy = ProxyDevice(workers=2)
     try:  # informational only: real copies on this host, smaller n to stay in memory
+        proxy_spec = WorkloadSpec(n_grid=(1_000_000,), repeats=1)
         proxy_ratio = key_only_speedup(run_payload_comparison(
-            WorkloadSpec(n_grid=(1_000_000,), repeats=1), device=proxy))
+            proxy_spec, workload_tables(proxy_spec), device=proxy))
     finally:
         proxy.close()
     print(f"criterion 8 PASS: modeled key-only e2e speedup at 3M rows is "

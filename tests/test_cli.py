@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from golp import store
 from golp.cli import build_parser, load_run_config, main
 from golp.device import DEFAULT_MODELED_PROFILE, OP_TOPK
 from golp.gate import DEFAULT_CPU_MODEL, DEVICE, HOST, GateConfig, decide, estimate_cpu_cost
@@ -254,6 +255,31 @@ def test_proxy_bench_runs_and_reports_honestly(tmp_path):
         if f6[1] == "key_only":
             assert f7[2] == f6[7]  # e2e_s == total_s
     assert len(fig6) == 2 * 3
+
+
+def test_proxy_bench_rejects_fewer_than_one_worker(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert run_cli("bench", "--config", cfg, "--backend", "proxy",
+                   "--workers", 0, "--out", tmp_path / "x") == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", [("modeled",), ("proxy", "--workers", 2)],
+                         ids=["modeled", "proxy"])
+def test_bench_draws_each_grid_size_once(tmp_path, monkeypatch, backend):
+    # generate_table and random_key_vector both draw keys through store.random_keys
+    draws = []
+    real = store.random_keys
+
+    def counted(n, seed):
+        draws.append(n)
+        return real(n, seed)
+
+    monkeypatch.setattr(store, "random_keys", counted)
+    grid = [1_000, 2_000, 4_000]
+    cfg = write_config(tmp_path, workload={"n_grid": grid, "repeats": 2, "payload_bytes": 16})
+    assert run_cli("bench", "--config", cfg, "--backend", *backend, "--out", tmp_path / "run") == 0
+    assert sorted(draws) == grid
 
 
 # --- fit --------------------------------------------------------------------

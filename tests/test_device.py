@@ -209,6 +209,13 @@ def test_proxy_device_closes_its_pool_when_the_block_ends_or_raises():
         pool.submit(int)
 
 
+def test_proxy_device_rejects_fewer_than_one_worker():
+    # the check runs before the pool exists, so no thread starts
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ProxyDevice(workers=workers)
+
+
 # --- proxy backend ----------------------------------------------------------
 
 
