@@ -10,8 +10,8 @@ validates the solved value.
 One closed-form non-negative least-squares fitter, fit_nonneg, serves every
 fit in golp (no linear-algebra library, so results are bit-reproducible
 across platforms). The figure fits weigh residuals absolutely; the gate's
-calibrations (golp.gate.calibrate_cpu_model, golp.device.calibrate_profile)
-weigh them relative to the measured time.
+calibration, golp.gate.calibrate_gate, weighs them relative to the measured
+time.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .breakeven import BreakEven, make_fit_result, validate_break_even
-from .device import KEY_ONLY, OP_FULL_SORT, OP_TOPK, calibrate_profile, make_device
+from .device import KEY_ONLY, OP_FULL_SORT, OP_TOPK, make_device
 from .errors import (
     CalibrationError,
     GolpError,
@@ -27,7 +27,7 @@ from .errors import (
     StrategyMismatchError,
     SweepBracketError,
 )
-from .gate import GateConfig, break_even_n, calibrate_cpu_model, decide
+from .gate import GateConfig, break_even_n, calibrate_gate, decide
 from .harness import (
     BenchReport,
     BreakEvenRow,
@@ -146,13 +146,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         else:
             # a measured run gates on constants calibrated from itself and is
             # validated against its own Top-K curves
-            alpha, beta = calibrate_cpu_model(
-                [(OP_FULL_SORT, n, spec.k, s) for n, s in sort_medians])
-            gate = dataclasses.replace(
-                gate,
-                cpu_model=dataclasses.replace(gate.cpu_model, alpha_sort=alpha, beta_sort=beta),
-                profile=calibrate_profile(key_only),
-            )
+            gate = calibrate_gate(gate, sort_medians, key_only)
             topk_medians = [(r.n, r.median_s) for r in scaling if r.op == OP_TOPK]
             sweep = breakeven_rows_from_runs(topk_medians, key_only)
         strategies = run_strategy_comparison(spec, tables, gate, device=device)

@@ -25,13 +25,11 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .breakeven import fit_nonneg
-from .errors import CalibrationError
 from .host import (
     ProbeResult,
     TopKResult,
@@ -50,8 +48,6 @@ FULL_ROW = "full_row"
 OP_TOPK = "topk"
 OP_FULL_SORT = "full_sort"
 OP_PROBE = "probe"
-
-_TINY_RATE = 1e-12
 
 
 def _sort_line(model: "CpuCostModel") -> tuple[float, float]:
@@ -112,12 +108,6 @@ def op_spec(op: str, on_device: bool = False) -> OpSpec:
     return spec
 
 
-def replace_from_json(default, obj: dict):
-    """default with each field obj names set to float(obj[name]); other keys are ignored."""
-    given = {f.name: float(obj[f.name]) for f in fields(default) if f.name in obj}
-    return replace(default, **given)
-
-
 @dataclass(frozen=True)
 class DeviceProfile:
     """Cost constants for one device. Bandwidths in bytes/s, times in seconds."""
@@ -133,10 +123,6 @@ class DeviceProfile:
         for name, value in asdict(self).items():
             if not value > 0.0:
                 raise ValueError(f"profile field {name} must be strictly positive")
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "DeviceProfile":
-        return replace_from_json(DEFAULT_MODELED_PROFILE, obj)
 
 
 # Chosen so the default configuration tells a coherent story: break-even
@@ -155,33 +141,21 @@ DEFAULT_MODELED_PROFILE = DeviceProfile(
 
 @dataclass(frozen=True)
 class TransferLedger:
+    """One device call: bytes each way and seconds per phase; total is their sum."""
+
     h2d_bytes: int
     d2h_bytes: int
     t_h2d: float
     t_kernel: float
     t_d2h: float
     t_post: float
-    total: float
+    total: float = field(init=False)
 
-    @classmethod
-    def build(
-        cls,
-        h2d_bytes: int,
-        d2h_bytes: int,
-        t_h2d: float,
-        t_kernel: float,
-        t_d2h: float,
-        t_post: float,
-    ) -> "TransferLedger":
-        return cls(
-            h2d_bytes=int(h2d_bytes),
-            d2h_bytes=int(d2h_bytes),
-            t_h2d=t_h2d,
-            t_kernel=t_kernel,
-            t_d2h=t_d2h,
-            t_post=t_post,
-            total=t_h2d + t_kernel + t_d2h + t_post,
-        )
+    def __post_init__(self) -> None:
+        # a modeled call over a fractional n (the crossover solve) has float byte counts
+        object.__setattr__(self, "h2d_bytes", int(self.h2d_bytes))
+        object.__setattr__(self, "d2h_bytes", int(self.d2h_bytes))
+        object.__setattr__(self, "total", self.t_h2d + self.t_kernel + self.t_d2h + self.t_post)
 
 
 @dataclass
@@ -231,7 +205,7 @@ def estimate_device_cost(
     returned = spec.returned(n, k)
     h2d_bytes = _h2d_bytes(mode, n, payload_bytes, build_n, build_payload_bytes)
     d2h_bytes = spec.returned_row_bytes * returned
-    return TransferLedger.build(
+    return TransferLedger(
         h2d_bytes=h2d_bytes,
         d2h_bytes=d2h_bytes,
         t_h2d=h2d_bytes / profile.h2d_bandwidth,
@@ -382,7 +356,7 @@ class ProxyDevice(_Device):
         t3 = wall_clock()
         payload = result(*returned)
         t4 = wall_clock()
-        ledger = TransferLedger.build(
+        ledger = TransferLedger(
             h2d_bytes=h2d_bytes,
             d2h_bytes=OPS[op].returned_row_bytes * len(returned[0]),
             t_h2d=t1 - t0,
@@ -448,53 +422,3 @@ def make_device(backend: str, profile: DeviceProfile = DEFAULT_MODELED_PROFILE,
     if backend == "proxy":
         return ProxyDevice(workers=workers)
     raise ValueError(f"unknown backend {backend!r}")
-
-
-def calibrate_profile(samples: Sequence[tuple[int, TransferLedger]]) -> DeviceProfile:
-    """Fit a DeviceProfile from measured key-only Top-K ledgers.
-
-    samples: (n, ledger) pairs where n is the row count the kernel saw. Needs
-    >= 3 distinct n. Bandwidths come from through-origin fits of bytes
-    against time, launch and kernel rate from a line fit of t_kernel against
-    n, post rate from returned rows against t_post. Every fit is
-    breakeven.fit_nonneg with relative=True, the rule calibrate_cpu_model
-    uses too: residuals are weighed relative to the measured time, so the
-    smallest size is predicted as well as the largest. The d2h bandwidth
-    falls back to the h2d one when no sample returned bytes, and the probe's
-    kernel rate is the fitted Top-K rate.
-    """
-    if len({int(n) for n, _ in samples}) < 3:
-        raise CalibrationError("calibration needs at least 3 distinct n values")
-
-    ledgers = [led for _, led in samples]
-
-    h2d_slope, _, _, _ = fit_nonneg([led.h2d_bytes for led in ledgers],
-                                    [led.t_h2d for led in ledgers],
-                                    relative=True, through_origin=True)
-    if h2d_slope <= 0.0:
-        raise CalibrationError("cannot fit h2d bandwidth: no usable transfer samples")
-    h2d_bw = 1.0 / h2d_slope
-
-    d2h_slope, _, _, _ = fit_nonneg([led.d2h_bytes for led in ledgers],
-                                    [led.t_d2h for led in ledgers],
-                                    relative=True, through_origin=True)
-    d2h_bw = (1.0 / d2h_slope) if d2h_slope > 0.0 else h2d_bw
-
-    rate, launch, _, _ = fit_nonneg([n for n, _ in samples], [led.t_kernel for led in ledgers],
-                                    relative=True)
-    rate = max(rate, _TINY_RATE)
-    launch = max(launch, _TINY_RATE)
-
-    returned = [led.d2h_bytes / OPS[OP_TOPK].returned_row_bytes for led in ledgers]
-    post_slope, _, _, _ = fit_nonneg(returned, [led.t_post for led in ledgers],
-                                     relative=True, through_origin=True)
-    post_rate = max(post_slope, _TINY_RATE)
-
-    return DeviceProfile(
-        h2d_bandwidth=h2d_bw,
-        d2h_bandwidth=d2h_bw,
-        launch_overhead=launch,
-        kernel_rate_topk=rate,
-        kernel_rate_probe=rate,
-        post_rate=post_rate,
-    )

@@ -4,24 +4,28 @@ The gate offloads a query only when the estimated host cost exceeds the
 estimated device cost by more than a configurable margin; ties and everything
 below an optional row-count guard stay on the host, the safe default. The
 decision record keeps both estimates so a sweep can be audited offline.
+calibrate_gate fits the gate's sort line and device profile to a measured
+bench.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
 from .breakeven import fit_nonneg, solve_break_even
 from .device import (
     DEFAULT_MODELED_PROFILE,
     KEY_ONLY,
+    OP_FULL_SORT,
     OP_TOPK,
+    OPS,
     DeviceProfile,
     ModeledDevice,
     OpSpec,
+    TransferLedger,
     estimate_device_cost,
     op_spec,
-    replace_from_json,
 )
 from .errors import CalibrationError
 from .host import host_hash_build, host_hash_probe, host_topk
@@ -29,6 +33,8 @@ from .store import extract_keys, materialize
 
 HOST = "host"
 DEVICE = "device"
+
+_TINY_RATE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,10 +50,6 @@ class CpuCostModel:
         for name, value in asdict(self).items():
             if value < 0.0:
                 raise ValueError(f"cpu model coefficient {name} must be non-negative")
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "CpuCostModel":
-        return replace_from_json(DEFAULT_CPU_MODEL, obj)
 
 
 # Paired with DEFAULT_MODELED_PROFILE; see that constant for the regime the
@@ -83,11 +85,17 @@ class GateConfig:
         if "min_n_guard" in obj:
             guard = obj["min_n_guard"]
             kwargs["min_n_guard"] = None if guard is None else int(guard)
-        if "cpu_model" in obj:
-            kwargs["cpu_model"] = CpuCostModel.from_json_dict(obj["cpu_model"])
-        if "profile" in obj:
-            kwargs["profile"] = DeviceProfile.from_json_dict(obj["profile"])
+        sections = (("cpu_model", DEFAULT_CPU_MODEL), ("profile", DEFAULT_MODELED_PROFILE))
+        for key, default in sections:
+            if key in obj:
+                kwargs[key] = _replace_from_json(default, obj[key])
         return cls(**kwargs)
+
+
+def _replace_from_json(default, obj: dict):
+    """default with each field obj names set to float(obj[name]); other keys are ignored."""
+    given = {f.name: float(obj[f.name]) for f in fields(default) if f.name in obj}
+    return replace(default, **given)
 
 
 @dataclass(frozen=True)
@@ -199,29 +207,64 @@ def execute_gated(tables, op: str, k: int, config: GateConfig, device=None):
     return result, decision, observed
 
 
-def calibrate_cpu_model(samples: Sequence[tuple]) -> tuple[float, float]:
-    """Least-squares (alpha, beta) from (op, n, k, measured_seconds) samples.
+def calibrate_gate(
+    config: GateConfig,
+    sort_medians: Sequence[tuple[int, float]],
+    key_only: Sequence[tuple[int, TransferLedger]],
+) -> GateConfig:
+    """config with its sort line and device profile fitted to a measured bench.
 
-    Every sample's op must share one host line (Top-K and the full sort
-    share the sort line), and the samples need at least 3 distinct n. The
-    caller writes the pair into that line's CpuCostModel fields. The fit is
-    breakeven.fit_nonneg with relative=True, the rule calibrate_profile uses
-    too: residuals are weighed relative to the measured time, so the
-    smallest size is predicted as well as the largest, and the coefficients
-    stay non-negative. A calibration where nothing grows is rejected.
+    sort_medians are (n, seconds) full-sort medians; key_only are (n, ledger)
+    key-only Top-K calls, n the rows the kernel saw. Each needs at least 3
+    distinct n. Every fit is breakeven.fit_nonneg with relative=True:
+    residuals are weighed relative to the measured time, so the smallest
+    size is predicted as well as the largest, and no constant goes negative.
+
+    - alpha_sort and beta_sort: the full sort's host line, which Top-K
+      shares. A line that does not grow is rejected.
+    - Bandwidths: through-origin fits of bytes against time. The d2h one
+      falls back to the h2d one when no call returned bytes.
+    - Launch overhead and kernel rate: a line of t_kernel against n. The
+      probe's kernel rate is the fitted Top-K rate.
+    - Post rate: a through-origin fit of t_post against returned rows.
+
+    The margin, the guard and the probe's host line come back unchanged.
     """
-    specs = [op_spec(op) for op, _, _, _ in samples]
-    if not specs:
-        raise CalibrationError("no calibration samples")
-    if len({spec.host_line for spec in specs}) > 1:
-        raise CalibrationError("calibration samples span more than one host line")
-    if len({int(n) for _, n, _, _ in samples}) < 3:
+    if len({int(n) for n, _ in sort_medians}) < 3:
         raise CalibrationError("calibration needs >= 3 distinct n")
-    alpha, beta, _, _ = fit_nonneg(
-        [float(n) * spec.host_factor(n, k) for spec, (_, n, k, _) in zip(specs, samples)],
-        [seconds for _, _, _, seconds in samples],
-        relative=True,
-    )
+    sort = OPS[OP_FULL_SORT]
+    alpha, beta, _, _ = fit_nonneg([float(n) * sort.host_factor(n, 1) for n, _ in sort_medians],
+                                   [seconds for _, seconds in sort_medians], relative=True)
     if alpha == 0.0:
         raise CalibrationError("calibration found no growth")
-    return alpha, beta
+
+    if len({int(n) for n, _ in key_only}) < 3:
+        raise CalibrationError("calibration needs >= 3 distinct n")
+    ledgers = [led for _, led in key_only]
+    h2d_slope, _, _, _ = fit_nonneg([led.h2d_bytes for led in ledgers],
+                                    [led.t_h2d for led in ledgers],
+                                    relative=True, through_origin=True)
+    if h2d_slope <= 0.0:
+        raise CalibrationError("cannot fit h2d bandwidth: no usable transfer samples")
+    d2h_slope, _, _, _ = fit_nonneg([led.d2h_bytes for led in ledgers],
+                                    [led.t_d2h for led in ledgers],
+                                    relative=True, through_origin=True)
+    rate, launch, _, _ = fit_nonneg([n for n, _ in key_only], [led.t_kernel for led in ledgers],
+                                    relative=True)
+    rate = max(rate, _TINY_RATE)
+    returned = [led.d2h_bytes / OPS[OP_TOPK].returned_row_bytes for led in ledgers]
+    post_slope, _, _, _ = fit_nonneg(returned, [led.t_post for led in ledgers],
+                                     relative=True, through_origin=True)
+
+    return replace(
+        config,
+        cpu_model=replace(config.cpu_model, alpha_sort=alpha, beta_sort=beta),
+        profile=DeviceProfile(
+            h2d_bandwidth=1.0 / h2d_slope,
+            d2h_bandwidth=1.0 / d2h_slope if d2h_slope > 0.0 else 1.0 / h2d_slope,
+            launch_overhead=max(launch, _TINY_RATE),
+            kernel_rate_topk=rate,
+            kernel_rate_probe=rate,
+            post_rate=max(post_slope, _TINY_RATE),
+        ),
+    )

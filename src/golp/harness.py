@@ -50,7 +50,6 @@ from .gate import (
     DEVICE,
     HOST,
     GateConfig,
-    GateDecision,
     decide,
     estimate_costs,
     estimate_cpu_cost,
@@ -152,7 +151,6 @@ class StrategyRun:
     strategy: str
     per_n: dict[int, LatencyStats]
     offload_rate: float
-    decisions: tuple[GateDecision, ...] = ()
 
     def all_samples(self) -> list[float]:
         out: list[float] = []
@@ -298,41 +296,37 @@ def run_strategy_comparison(
     runs: list[StrategyRun] = []
     for strategy in STRATEGIES:
         per_n_samples: dict[int, list[float]] = {n: [] for n in spec.n_grid}
-        decisions: list[GateDecision] = []
-        last: dict[int, tuple[float, str, Optional[GateDecision]]] = {}
+        last: dict[int, tuple[float, str]] = {}
         offloaded = 0
         measured = not device.virtual_clock
         for n in sizes:
             if n not in last or measured:
                 if n not in last and measured:
                     _run_one(tables[n], spec.k, config, device, strategy)  # warmup
-                result, latency, path, decision = _run_one(tables[n], spec.k, config, device, strategy)
+                result, latency, path = _run_one(tables[n], spec.k, config, device, strategy)
                 _check_result(first_answers, strategy, n, result)
-                last[n] = (latency, path, decision)
-            latency, path, decision = last[n]
+                last[n] = (latency, path)
+            latency, path = last[n]
             per_n_samples[n].append(latency)
             offloaded += path == DEVICE
-            if decision is not None:
-                decisions.append(decision)
 
         per_n = {n: compute_stats(s) for n, s in per_n_samples.items() if s}
         runs.append(StrategyRun(
             strategy=strategy,
             per_n=per_n,
             offload_rate=offloaded / len(sizes),
-            decisions=tuple(decisions),
         ))
     return tuple(runs)
 
 
 def _run_one(table: ColumnTable, k: int, config: GateConfig, device, strategy: str):
-    """(result, latency, path, decision) of one query; a fixed path decides nothing."""
+    """(result, latency, path) of one query."""
     if strategy == GATED:
         result, decision, latency = execute_gated(table, OP_TOPK, k, config, device)
-        return result, latency, decision.path, decision
+        return result, latency, decision.path
     path = HOST if strategy == HOST_ONLY else DEVICE
     result, latency = execute_path(table, OP_TOPK, k, config, device, path)
-    return result, latency, path, None
+    return result, latency, path
 
 
 def _check_result(first_answers: dict, strategy: str, n: int, result) -> None:

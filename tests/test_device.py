@@ -1,4 +1,4 @@
-"""Coprocessor backends: ledgers, byte accounting, calibration."""
+"""Coprocessor backends: ledgers, byte accounting, the device profile's calibration."""
 
 import dataclasses
 import statistics
@@ -16,16 +16,17 @@ from golp.device import (
     ModeledDevice,
     ProxyDevice,
     TransferLedger,
-    calibrate_profile,
     estimate_device_cost,
     make_device,
     transfer_entry_bytes,
 )
 from golp.errors import CalibrationError
+from golp.gate import GateConfig, calibrate_gate
 from golp.host import host_hash_build, host_hash_probe
 from golp.store import KeyVector, random_key_vector
 
 from .oracles import oracle_join_outer, oracle_topk_rows
+from .test_gate import calibration_samples
 
 EXAMPLE_PROFILE = DeviceProfile(
     h2d_bandwidth=10e9,
@@ -169,16 +170,17 @@ def test_profile_validation_and_round_trip():
         DeviceProfile(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         DeviceProfile(1.0, 1.0, -2.0, 1.0, 1.0, 1.0)
-    prof = DeviceProfile.from_json_dict(dataclasses.asdict(DEFAULT_MODELED_PROFILE))
-    assert prof == DEFAULT_MODELED_PROFILE
+    prof = GateConfig.from_json_dict({"profile": dataclasses.asdict(DEFAULT_MODELED_PROFILE)})
+    assert prof.profile == DEFAULT_MODELED_PROFILE
 
 
 def test_partial_profile_section_falls_back_key_by_key():
-    assert DeviceProfile.from_json_dict({}) == DEFAULT_MODELED_PROFILE
-    got = DeviceProfile.from_json_dict({"h2d_bandwidth": 5e9, "post_rate": "3e-8"})
-    assert got == dataclasses.replace(DEFAULT_MODELED_PROFILE, h2d_bandwidth=5e9, post_rate=3e-8)
+    assert GateConfig.from_json_dict({"profile": {}}).profile == DEFAULT_MODELED_PROFILE
+    got = GateConfig.from_json_dict({"profile": {"h2d_bandwidth": 5e9, "post_rate": "3e-8"}})
+    assert got.profile == dataclasses.replace(DEFAULT_MODELED_PROFILE, h2d_bandwidth=5e9,
+                                              post_rate=3e-8)
     with pytest.raises(ValueError):
-        DeviceProfile.from_json_dict({"launch_overhead": 0.0})
+        GateConfig.from_json_dict({"profile": {"launch_overhead": 0.0}})
 
 
 def test_make_device_dispatch():
@@ -354,13 +356,18 @@ def test_proxy_single_worker_equals_multi_worker_answer():
 # --- calibration ------------------------------------------------------------
 
 
-def modeled_topk_samples(ns, k=100, profile=DEFAULT_MODELED_PROFILE):
-    dev = ModeledDevice(profile)
-    return [(n, dev.topk(random_key_vector(n, n), k).ledger) for n in ns]
+def calibrated_profile(key_only) -> DeviceProfile:
+    """The profile calibrate_gate fits from key_only, with cost-model sort medians."""
+    sort_medians, _ = calibration_samples([1_000, 2_000, 4_000])
+    return calibrate_gate(GateConfig(), sort_medians, key_only).profile
+
+
+def modeled_topk_samples(ns):
+    return calibration_samples(ns)[1]
 
 
 def test_calibrate_profile_recovers_modeled_constants():
-    fitted = calibrate_profile(modeled_topk_samples([100_000, 200_000, 400_000]))
+    fitted = calibrated_profile(modeled_topk_samples([100_000, 200_000, 400_000]))
     truth = DEFAULT_MODELED_PROFILE
     assert fitted.h2d_bandwidth == pytest.approx(truth.h2d_bandwidth, rel=1e-9)
     assert fitted.d2h_bandwidth == pytest.approx(truth.d2h_bandwidth, rel=1e-9)
@@ -374,17 +381,17 @@ def test_calibrate_profile_recovers_modeled_constants():
 def test_calibrate_profile_without_returned_bytes_reuses_h2d_bandwidth():
     # Top-K ledgers that returned nothing leave no d2h sample to fit
     samples = [
-        (n, TransferLedger.build(led.h2d_bytes, 0, led.t_h2d, led.t_kernel, 0.0, 0.0))
+        (n, TransferLedger(led.h2d_bytes, 0, led.t_h2d, led.t_kernel, 0.0, 0.0))
         for n, led in modeled_topk_samples([100_000, 200_000, 400_000])
     ]
-    fitted = calibrate_profile(samples)
+    fitted = calibrated_profile(samples)
     assert fitted.d2h_bandwidth == fitted.h2d_bandwidth
     assert fitted.h2d_bandwidth == pytest.approx(DEFAULT_MODELED_PROFILE.h2d_bandwidth, rel=1e-9)
 
 
 def with_kernel_times(samples, t_kernel):
     return [
-        (n, TransferLedger.build(led.h2d_bytes, led.d2h_bytes, led.t_h2d, t, led.t_d2h, led.t_post))
+        (n, TransferLedger(led.h2d_bytes, led.d2h_bytes, led.t_h2d, t, led.t_d2h, led.t_post))
         for (n, led), t in zip(samples, t_kernel)
     ]
 
@@ -393,7 +400,7 @@ def test_calibrate_profile_fits_kernel_times_by_relative_error():
     ns = [100_000, 500_000, 1_000_000]
     # kernel times that grow faster than n, as measured on a proxy device
     t = np.array([0.7e-3, 2.2e-3, 5.8e-3])
-    fitted = calibrate_profile(with_kernel_times(modeled_topk_samples(ns), t))
+    fitted = calibrated_profile(with_kernel_times(modeled_topk_samples(ns), t))
     # oracle: ordinary least squares on each row divided by its own time
     n = np.array(ns, dtype=np.float64)
     (rate, launch), *_ = np.linalg.lstsq(np.stack([n / t, 1 / t], axis=1), np.ones(3), rcond=None)
@@ -409,7 +416,7 @@ def test_calibrate_profile_keeps_launch_overhead_non_negative():
     ns = [100_000, 500_000, 1_000_000]
     # the free relative fit of these times has a negative intercept
     t = np.array([0.2e-3, 4.0e-3, 9.0e-3])
-    fitted = calibrate_profile(with_kernel_times(modeled_topk_samples(ns), t))
+    fitted = calibrated_profile(with_kernel_times(modeled_topk_samples(ns), t))
     n = np.array(ns, dtype=np.float64)
     (_, free_launch), *_ = np.linalg.lstsq(np.stack([n / t, 1 / t], axis=1), np.ones(3), rcond=None)
     assert free_launch < 0.0
@@ -421,10 +428,10 @@ def test_calibrate_profile_keeps_launch_overhead_non_negative():
 
 def test_calibrate_profile_needs_three_distinct_sizes():
     with pytest.raises(CalibrationError):
-        calibrate_profile(modeled_topk_samples([1_000, 2_000]))
+        calibrated_profile(modeled_topk_samples([1_000, 2_000]))
     dup = modeled_topk_samples([1_000, 1_000, 2_000])
     with pytest.raises(CalibrationError):
-        calibrate_profile(dup)
+        calibrated_profile(dup)
 
 
 def test_proxy_profile_predicts_proxy_totals():
@@ -445,7 +452,7 @@ def test_proxy_profile_predicts_proxy_totals():
             med_ledgers.append(
                 (
                     n,
-                    TransferLedger.build(
+                    TransferLedger(
                         h2d_bytes=runs[0].h2d_bytes,
                         d2h_bytes=runs[0].d2h_bytes,
                         t_h2d=statistics.median(r.t_h2d for r in runs),
@@ -457,7 +464,7 @@ def test_proxy_profile_predicts_proxy_totals():
             )
     finally:
         dev.close()
-    fitted = calibrate_profile(med_ledgers)
+    fitted = calibrated_profile(med_ledgers)
     errors = []
     for n, led in med_ledgers:
         pred = estimate_device_cost(OP_TOPK, n, 100, profile=fitted).total

@@ -1,4 +1,4 @@
-"""Dispatch rule, gated execution, and cpu-model calibration."""
+"""Dispatch rule, gated execution, and the gate's calibration."""
 
 import dataclasses
 import math
@@ -26,13 +26,13 @@ from golp.gate import (
     CpuCostModel,
     GateConfig,
     break_even_n,
-    calibrate_cpu_model,
+    calibrate_gate,
     decide,
     estimate_cpu_cost,
     execute_gated,
     execute_path,
 )
-from golp.store import generate_table
+from golp.store import generate_table, random_key_vector
 
 # Flat-cost construction: the host always costs 10 ms, the device ~4 ms, so
 # the gain is ~6 ms at every n and the margin alone decides the path.
@@ -46,6 +46,23 @@ FLAT_DEVICE = DeviceProfile(
     post_rate=1e-15,
 )
 FLAT_CONFIG = GateConfig(cpu_model=FLAT_CPU, profile=FLAT_DEVICE)
+
+
+def calibration_samples(ns):
+    """calibrate_gate's (sort_medians, key_only) at sizes ns, from the default models.
+
+    The medians are the default cpu model's full-sort times, the ledgers
+    ModeledDevice's key-only Top-K (k = 100) calls.
+    """
+    dev = ModeledDevice()
+    return ([(n, estimate_cpu_cost(DEFAULT_CPU_MODEL, OP_FULL_SORT, n)) for n in ns],
+            [(n, dev.topk(random_key_vector(n, n), 100).ledger) for n in ns])
+
+
+def calibrate_sort_line(sort_medians) -> CpuCostModel:
+    """The cpu model calibrate_gate fits from sort_medians, with modeled ledgers."""
+    _, key_only = calibration_samples([1_000, 2_000, 4_000])
+    return calibrate_gate(GateConfig(), sort_medians, key_only).cpu_model
 
 
 def test_margin_below_gain_offloads():
@@ -217,8 +234,8 @@ def test_gate_config_json_round_trip():
 
 
 def test_partial_cpu_model_section_falls_back_key_by_key():
-    got = CpuCostModel.from_json_dict({"alpha_sort": 2e-10, "unknown": 1.0})
-    assert got == dataclasses.replace(DEFAULT_CPU_MODEL, alpha_sort=2e-10)
+    got = GateConfig.from_json_dict({"cpu_model": {"alpha_sort": 2e-10, "unknown": 1.0}})
+    assert got.cpu_model == dataclasses.replace(DEFAULT_CPU_MODEL, alpha_sort=2e-10)
     cfg = GateConfig.from_json_dict({"cpu_model": {"beta_match": 1e-6},
                                      "profile": {"h2d_bandwidth": 5e9}})
     assert cfg.cpu_model == dataclasses.replace(DEFAULT_CPU_MODEL, beta_match=1e-6)
@@ -247,35 +264,22 @@ def test_each_config_key_moves_only_the_estimates_of_its_ops():
 
 
 def test_calibrate_cpu_model_recovers_exact_constants():
-    # Top-K and the full sort share the sort line, so their samples fit together
+    # Top-K and the full sort share the sort line, so their times fit together
     truth = CpuCostModel(alpha_sort=2e-10, beta_sort=3e-6, alpha_match=4e-10, beta_match=2e-6)
-    samples = []
+    medians = []
     for n in (10_000, 100_000, 1_000_000):
-        samples.append((OP_FULL_SORT, n, 1, estimate_cpu_cost(truth, OP_FULL_SORT, n)))
-        samples.append((OP_TOPK, 2 * n, 7, estimate_cpu_cost(truth, OP_TOPK, 2 * n, 7)))
-    alpha, beta = calibrate_cpu_model(samples)
-    assert alpha == pytest.approx(truth.alpha_sort, rel=1e-9)
-    assert beta == pytest.approx(truth.beta_sort, rel=1e-9)
-    probe = [(OP_PROBE, n, 7, estimate_cpu_cost(truth, OP_PROBE, n, 7)) for n in (10, 100, 1_000)]
-    alpha, beta = calibrate_cpu_model(probe)
-    assert alpha == pytest.approx(truth.alpha_match, rel=1e-9)
-    assert beta == pytest.approx(truth.beta_match, rel=1e-9)
+        medians.append((n, estimate_cpu_cost(truth, OP_FULL_SORT, n)))
+        medians.append((2 * n, estimate_cpu_cost(truth, OP_TOPK, 2 * n, 7)))
+    fitted = calibrate_sort_line(medians)
+    assert fitted.alpha_sort == pytest.approx(truth.alpha_sort, rel=1e-9)
+    assert fitted.beta_sort == pytest.approx(truth.beta_sort, rel=1e-9)
 
 
 def test_calibrate_cpu_model_sort_family_alone():
-    samples = [(OP_TOPK, n, 100, 1e-10 * n * math.log2(n) + 1e-6)
-               for n in (1_000, 10_000, 100_000)]
-    alpha, beta = calibrate_cpu_model(samples)
-    assert alpha == pytest.approx(1e-10, rel=1e-9)
-    assert beta == pytest.approx(1e-6, rel=1e-9)
-
-
-def test_calibrate_cpu_model_rejects_samples_of_two_host_lines():
-    # one (alpha, beta) cannot describe the sort line and the probe's at once
-    samples = [(op, n, 1, 1e-9 * n + 1e-6)
-               for op in (OP_FULL_SORT, OP_PROBE) for n in (10, 100, 1_000)]
-    with pytest.raises(CalibrationError, match="more than one host line"):
-        calibrate_cpu_model(samples)
+    medians = [(n, 1e-10 * n * math.log2(n) + 1e-6) for n in (1_000, 10_000, 100_000)]
+    fitted = calibrate_sort_line(medians)
+    assert fitted.alpha_sort == pytest.approx(1e-10, rel=1e-9)
+    assert fitted.beta_sort == pytest.approx(1e-6, rel=1e-9)
 
 
 def test_calibrate_cpu_model_predicts_small_sizes_as_well_as_large():
@@ -283,8 +287,7 @@ def test_calibrate_cpu_model_predicts_small_sizes_as_well_as_large():
     # 3M decide and predicts 1k at 0.16x its measured time
     medians = {1_000: 22e-6, 10_000: 42e-6, 100_000: 323e-6, 500_000: 2_055e-6,
                1_000_000: 5_750e-6, 3_000_000: 22_649e-6}
-    alpha, beta = calibrate_cpu_model([(OP_TOPK, n, 100, t) for n, t in medians.items()])
-    fitted = dataclasses.replace(DEFAULT_CPU_MODEL, alpha_sort=alpha, beta_sort=beta)
+    fitted = calibrate_sort_line(list(medians.items()))
     worst = max(abs(estimate_cpu_cost(fitted, OP_TOPK, n, 100) - t) / t
                 for n, t in medians.items())
     assert worst <= 0.5, f"largest relative residual {worst:.2f}"
@@ -292,13 +295,27 @@ def test_calibrate_cpu_model_predicts_small_sizes_as_well_as_large():
 
 def test_calibrate_cpu_model_input_validation():
     with pytest.raises(CalibrationError):
-        calibrate_cpu_model([])
+        calibrate_sort_line([])
     with pytest.raises(CalibrationError):  # only 2 distinct n
-        calibrate_cpu_model([(OP_FULL_SORT, 10, 1, 1e-3), (OP_FULL_SORT, 20, 1, 2e-3)])
+        calibrate_sort_line([(10, 1e-3), (20, 2e-3)])
     with pytest.raises(CalibrationError):  # flat measurements: nothing grows
-        calibrate_cpu_model([(OP_FULL_SORT, n, 1, 5e-3) for n in (10, 20, 40)])
-    with pytest.raises(ValueError):
-        calibrate_cpu_model([("scan", 10, 1, 1e-3)])
+        calibrate_sort_line([(n, 5e-3) for n in (10, 20, 40)])
+
+
+def test_calibrate_gate_changes_only_the_sort_line_and_profile():
+    config = GateConfig(margin_s=2.5e-3, min_n_guard=1_234,
+                        cpu_model=CpuCostModel(1e-10, 2e-6, 3e-10, 4e-6), profile=FLAT_DEVICE)
+    got = calibrate_gate(config, *calibration_samples([100_000, 200_000, 400_000]))
+    # the fitted constants are the default ones the samples were modeled with
+    assert got.cpu_model.alpha_sort == pytest.approx(DEFAULT_CPU_MODEL.alpha_sort, rel=1e-9)
+    assert got.profile.launch_overhead == pytest.approx(
+        DEFAULT_MODELED_PROFILE.launch_overhead, rel=1e-9)
+    assert (got.margin_s, got.min_n_guard) == (config.margin_s, config.min_n_guard)
+    assert (got.cpu_model.alpha_match, got.cpu_model.beta_match) == (3e-10, 4e-6)
+    assert got == dataclasses.replace(
+        config, profile=got.profile,
+        cpu_model=dataclasses.replace(config.cpu_model, alpha_sort=got.cpu_model.alpha_sort,
+                                      beta_sort=got.cpu_model.beta_sort))
 
 
 @settings(max_examples=300, deadline=None)
@@ -313,7 +330,7 @@ def test_flat_calibration_has_no_slope_and_is_rejected(ns, seconds):
         slope, intercept, _, _ = fit_nonneg(xs, [seconds] * len(xs), relative=relative)
         assert (slope, intercept) == (0.0, seconds)
     with pytest.raises(CalibrationError, match="no growth"):
-        calibrate_cpu_model([(OP_FULL_SORT, n, 1, seconds) for n in ns])
+        calibrate_sort_line([(n, seconds) for n in ns])
 
 
 @pytest.mark.parametrize("call", [
@@ -323,9 +340,8 @@ def test_flat_calibration_has_no_slope_and_is_rejected(ns, seconds):
     lambda op: execute_gated(generate_table(100, 4, seed=1), op, 10, GateConfig()),
     lambda op: execute_path(generate_table(100, 4, seed=1), op, 10, GateConfig(),
                             ModeledDevice(), HOST),
-    lambda op: calibrate_cpu_model([(op, n, 10, 1e-3 * n) for n in (10, 20, 40)]),
 ], ids=["estimate_cpu_cost", "estimate_device_cost", "decide", "execute_gated",
-        "execute_path", "calibrate_cpu_model"])
+        "execute_path"])
 def test_unknown_op_raises_value_error(call):
     with pytest.raises(ValueError, match="unknown op 'scan'"):
         call("scan")
@@ -342,12 +358,12 @@ def test_full_sort_has_no_device_path():
 def test_calibrate_cpu_model_clamps_negative_slope_to_zero():
     # decreasing timings (noise artifact) clamp to a flat line rather than a
     # negative slope, and a line that does not grow is rejected
-    samples = [(OP_FULL_SORT, n, 1, t) for n, t in ((10, 3e-3), (100, 2e-3), (1_000, 1e-3))]
-    slope, intercept, _, _ = fit_nonneg([n * math.log2(n) for _, n, _, _ in samples],
-                                        [t for _, _, _, t in samples], relative=True)
+    medians = [(10, 3e-3), (100, 2e-3), (1_000, 1e-3)]
+    slope, intercept, _, _ = fit_nonneg([n * math.log2(n) for n, _ in medians],
+                                        [t for _, t in medians], relative=True)
     assert slope == 0.0
     # the flat fit weighs each time by 1/y**2, so the intercept is the weighted
     # mean sum(y / y**2) / sum(1 / y**2) = (1833.3...) / (1361111.1...) = 33 / 24500
     assert intercept == pytest.approx(1.346938775510204e-3, rel=1e-9)
     with pytest.raises(CalibrationError, match="no growth"):
-        calibrate_cpu_model(samples)
+        calibrate_sort_line(medians)
