@@ -14,11 +14,15 @@ threshold, runs argpartition over all n. The proxy device runs the same two
 steps, a selection per chunk and one merge.
 
 The join keeps the host_hash_build/host_hash_probe names of a hash join, but
-its build side is a sorted index: the build keys' bits in a stable ascending
-order. A probe key's matches are one run of equal bits. The probe sorts its
-key bits first and finds every run with two binary searches over the sorted
-keys, which walk the index in order instead of at random, so a probe is
-O(p log p + p log b + matches) in vectorized numpy, after an O(b log b) build.
+its build side is a sorted index: the distinct build key bits, ascending,
+each with the start of its run of row ids in insertion order. The build
+takes numpy's default (SIMD) argsort of the key bits, numbers the runs of
+equal bits and sorts the packed (run, position) pairs once, which gives the
+permutation of a stable argsort at the cost of two unstable sorts: O(b log b).
+The probe sorts its key bits and merges them with the distinct keys in one
+pass, a stable sort of the two sorted runs, so every probe key finds its run
+without a binary search: O(p log p + d + p + matches) in vectorized numpy for
+d distinct build keys.
 """
 
 from __future__ import annotations
@@ -82,34 +86,49 @@ def mix64(bits: int) -> int:
 
 @dataclass(frozen=True)
 class BuildIndex:
-    """Build-side key bits in ascending order, with their row ids.
+    """Build-side keys as runs of equal key bits, with their row ids.
 
-    The sort is stable, so equal keys keep their insertion order.
+    distinct holds each run's key bits, ascending. Run i's row ids are
+    rows[starts[i]:starts[i + 1]], in insertion order; the last start is
+    len(rows).
     """
 
-    bits: np.ndarray
+    distinct: np.ndarray
+    starts: np.ndarray
     rows: np.ndarray
 
     def match(self, probe_bits: np.ndarray, probe_rows: np.ndarray):
         """(probe rows, build rows) of every equal-key pair, probe order first.
 
-        The probe bits are searched in ascending order, where each binary
-        search starts from the previous answer, and each probe key's run of
-        build keys (its first position and its length) is scattered back to
-        its own position, so equal probe keys need no stable order.
-        O(p log p + p log b + matches).
+        The sorted probe bits are merged with the distinct build bits in one
+        pass. Each probe key's run (its start and its length) is scattered
+        back to its own position, so equal probe keys need no stable order.
+        O(p log p + d + p + matches) for d distinct build keys.
         """
+        d = len(self.distinct)
+        if d == 0:
+            return probe_rows[:0], self.rows
         order = np.argsort(probe_bits)
         needles = probe_bits[order]
+        # A stable sort of two sorted runs merges them, each build key before
+        # any equal needle, so needle j's merged position minus j counts the
+        # distinct keys <= it, and its run is one less. A needle below every
+        # key gets run -1: the last start less itself, a length of 0.
+        merged = np.argsort(np.concatenate([self.distinct, needles]), kind="stable")
+        run = np.flatnonzero(merged >= d)
+        run -= np.arange(1, len(needles) + 1)
+        start = self.starts[run]
+        length = self.starts[1:][run] - start
+        length *= self.distinct[run] == needles
         lo = np.empty(len(order), dtype=np.intp)
         counts = np.empty(len(order), dtype=np.intp)
-        lo[order] = np.searchsorted(self.bits, needles, side="left")
-        counts[order] = np.searchsorted(self.bits, needles, side="right")
-        counts -= lo
+        lo[order] = start
+        counts[order] = length
         ends = np.cumsum(counts)
-        # position of each match inside its probe key's run of equal build keys
-        offsets = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)
-        return np.repeat(probe_rows, counts), self.rows[np.repeat(lo, counts) + offsets]
+        # match i of a probe key sits at its run's start plus i
+        pos = np.repeat(lo - (ends - counts), counts)
+        pos += np.arange(len(pos))
+        return np.repeat(probe_rows, counts), self.rows[pos]
 
 
 def host_full_sort(keys: KeyVector) -> np.ndarray:
@@ -181,15 +200,33 @@ def host_hash_build(
     build_keys: KeyVector, memory_budget: int = DEFAULT_MEMORY_BUDGET
 ) -> BuildIndex:
     n = len(build_keys)
-    # 8 bytes of key bits + 4 bytes of rowid per build row
-    if n * 12 > memory_budget:
+    # the worst case, every key distinct: 8 bytes of key bits and 4 of run
+    # start per distinct key, 4 of row id per row, and the end's start
+    need = 16 * n + 4
+    if need > memory_budget:
         raise CapacityError(
-            f"build index of {n} rows ({n * 12} bytes) exceeds "
+            f"build index of {n} rows ({need} bytes) exceeds "
             f"the {memory_budget}-byte budget"
         )
     bits = key_bits(build_keys.keys)
-    order = np.argsort(bits, kind="stable")
-    return BuildIndex(bits=bits[order], rows=build_keys.rows[order])
+    order = np.argsort(bits)
+    bits = bits[order]
+    new_run = np.empty(n, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
+    # Numbering the runs and sorting (run, position) once puts equal keys in
+    # insertion order: the permutation of a stable argsort. Tables hold fewer
+    # than 2**32 rows, so positions and run numbers fit in 32 bits each.
+    packed = np.cumsum(new_run, dtype=np.uint64)
+    packed -= 1
+    packed <<= 32
+    packed |= order.view(np.uint64)
+    packed.sort()
+    packed &= 0xFFFFFFFF
+    starts = np.empty(np.count_nonzero(new_run) + 1, dtype=np.uint32)
+    starts[:-1] = np.flatnonzero(new_run)
+    starts[-1] = n
+    return BuildIndex(distinct=bits[new_run], starts=starts, rows=build_keys.rows[packed])
 
 
 def host_hash_probe(index: BuildIndex, probe_keys: KeyVector) -> ProbeResult:

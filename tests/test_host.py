@@ -257,8 +257,66 @@ def test_negative_keys_probe_correctly():
 def test_build_respects_memory_budget():
     with pytest.raises(CapacityError):
         host_hash_build(kv(np.arange(10_000, dtype=np.float64)), memory_budget=1_000)
-    # 12 bytes per build row: exactly 12 * n builds, one byte less does not
-    build = kv(np.arange(1_000, dtype=np.float64))
-    host_hash_build(build, memory_budget=12 * 1_000)
-    with pytest.raises(CapacityError):
-        host_hash_build(build, memory_budget=12 * 1_000 - 1)
+    # The index's worst case, every key distinct: 8 bytes of key bits and 4 of
+    # run start per distinct key, 4 of row id per row, and a 4-byte end.
+    # Exactly 16 * n + 4 builds, one byte less does not, whatever the keys.
+    for keys in (np.arange(1_000, dtype=np.float64), np.zeros(1_000)):
+        host_hash_build(kv(keys), memory_budget=16 * 1_000 + 4)
+        with pytest.raises(CapacityError):
+            host_hash_build(kv(keys), memory_budget=16 * 1_000 + 3)
+
+
+@pytest.mark.parametrize("keys", [
+    np.random.default_rng(30).choice([-1.5, 0.0, -0.0, 2.0], size=10_000),
+    np.random.default_rng(31).permutation(10_000) - 5_000.0,
+], ids=["long runs", "all distinct"])
+def test_build_order_is_the_stable_argsort(keys):
+    rows = np.random.default_rng(32).permutation(len(keys)).astype(np.uint32)
+    index = host_hash_build(kv(keys, rows))
+    order = np.argsort(key_bits(keys), kind="stable")
+    assert np.array_equal(index.rows, rows[order])
+    assert np.array_equal(index.distinct, np.unique(key_bits(keys)))
+    runs = np.diff(index.starts.astype(np.int64))
+    assert np.array_equal(np.repeat(index.distinct, runs), key_bits(keys)[order])
+
+
+# (build keys, build rows, probe keys, probe rows); None numbers rows 0, 1, ...
+JOIN_CASES = {
+    "signed zeros": ([0.0, -0.0, 1.0, -0.0], None, [-0.0, 0.0, 2.0, -0.0, 0.0], None),
+    "equal keys out of row order": (
+        [5.0, 3.0] * 6, np.random.default_rng(33).permutation(12), [3.0, 5.0, 4.0, 3.0], [7, 1, 4, 0]),
+    "all-equal build": ([2.0] * 9, np.random.default_rng(34).permutation(9), [2.0, 1.0, 2.0, 3.0], None),
+    "empty build": ([], None, [1.0, 2.0], None),
+    "empty probe": ([1.0, 2.0], None, [], None),
+    "both empty": ([], None, [], None),
+    # below and above the build keys both by value and by key bits, where
+    # 0.0 is the smallest and negative keys sit above the positive ones
+    "probes outside the build keys": (
+        [-2.0, 1.0, 1.0, 4.0], None, [-1e300, -9.0, -2.0, 0.0, 0.5, 1.0, 9.0, 1e300], None),
+}
+
+
+@pytest.mark.parametrize("build, build_rows, probe, probe_rows", JOIN_CASES.values(),
+                         ids=JOIN_CASES.keys())
+def test_probe_edge_cases_match_the_oracles(build, build_rows, probe, probe_rows):
+    build_rows = np.arange(len(build)) if build_rows is None else np.asarray(build_rows)
+    probe_rows = np.arange(len(probe)) if probe_rows is None else np.asarray(probe_rows)
+    got = host_hash_probe(host_hash_build(kv(build, build_rows)), kv(probe, probe_rows))
+    want = oracle_join_loop(build, build_rows, probe, probe_rows)
+    assert want == oracle_join_outer(build, build_rows, probe, probe_rows)
+    assert got.matches == want
+    assert got.probe_count == len(probe)
+
+
+def test_proxy_multi_chunk_probe_over_an_all_equal_build():
+    rng = np.random.default_rng(35)
+    build_keys = np.full(40, 7.0)
+    probe_keys = rng.choice([7.0, 8.0], p=[0.1, 0.9], size=20_000)
+    build = kv(build_keys, rng.permutation(40))
+    probe = kv(probe_keys, rng.permutation(20_000))
+    with ProxyDevice(workers=4) as dev:
+        assert len(dev._chunk_bounds(len(probe), 4096)) == 4
+        got = dev.probe(build, probe).payload
+    want = oracle_join_outer(build_keys, build.rows, probe_keys, probe.rows)
+    assert got.matches == want
+    assert got.probe_count == len(probe)
