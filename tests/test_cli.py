@@ -9,7 +9,7 @@ import pytest
 
 from golp import store
 from golp.cli import build_parser, load_run_config, main
-from golp.device import DEFAULT_MODELED_PROFILE, OP_TOPK
+from golp.device import DEFAULT_MODELED_PROFILE, OP_TOPK, STAGING_BYTES
 from golp.gate import DEFAULT_CPU_MODEL, DEVICE, HOST, GateConfig, decide, estimate_cpu_cost
 from golp.store import load_table
 
@@ -221,10 +221,10 @@ def test_modeled_bench_reports_curves_that_never_cross_as_null(tmp_path, capsys)
 
 
 def test_proxy_bench_runs_and_reports_honestly(tmp_path):
-    cfg = write_config(tmp_path)
-    doc = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
-    doc["workload"]["n_grid"] = [1_000, 2_000, 4_000]
-    (tmp_path / "cfg.json").write_text(json.dumps(doc), encoding="utf-8")
+    # at 10k rows the 4,000-byte payload (40 MB) spans three staging buffers
+    grid, width = [1_000, 2_000, 4_000, 10_000], 4_000
+    assert width * grid[-1] > 2 * STAGING_BYTES
+    cfg = write_config(tmp_path, workload={"n_grid": grid, "repeats": 2, "payload_bytes": width})
     out = tmp_path / "prun"
     assert run_cli("bench", "--config", cfg, "--backend", "proxy",
                    "--workers", 2, "--out", out) == 0
@@ -235,7 +235,7 @@ def test_proxy_bench_runs_and_reports_honestly(tmp_path):
     for name in EXPORTED_FILES:
         assert (out / name).is_file(), name
     fig3 = (out / "fig3_scaling.csv").read_text(encoding="utf-8").splitlines()
-    assert len(fig3) == 1 + 2 * 3  # header + two ops per grid size
+    assert len(fig3) == 1 + 2 * len(grid)  # header + two ops per grid size
 
     def rows(name):
         return [line.split(",") for line in
@@ -244,7 +244,7 @@ def test_proxy_bench_runs_and_reports_honestly(tmp_path):
     # the measured sweep compares the Top-K host medians with the key-only totals
     topk_median = {n: median for n, op, median, _ in rows("fig3_scaling.csv") if op == OP_TOPK}
     fig5 = rows("fig5_breakeven.csv")
-    assert [n for n, _, _ in fig5] == ["1000", "2000", "4000"]
+    assert [int(n) for n, _, _ in fig5] == grid
     for n, cpu_s, _ in fig5:
         assert cpu_s == topk_median[n]
     # fig4, fig6 and fig7 come from the same ledger of each call
@@ -254,7 +254,10 @@ def test_proxy_bench_runs_and_reports_honestly(tmp_path):
         assert f4[3] == f6[3]  # transfer_s == t_h2d
         if f6[1] == "key_only":
             assert f7[2] == f6[7]  # e2e_s == total_s
-    assert len(fig6) == 2 * 3
+            assert int(f4[2]) == 12 * int(f4[0])
+        else:
+            assert int(f4[2]) == (8 + width) * int(f4[0])
+    assert len(fig6) == 2 * len(grid)
 
 
 def test_proxy_bench_rejects_fewer_than_one_worker(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from golp.device import (
     KEY_ONLY,
     OP_PROBE,
     OP_TOPK,
+    STAGING_BYTES,
     DeviceProfile,
     ModeledDevice,
     ProxyDevice,
@@ -232,6 +234,54 @@ def test_proxy_topk_full_row_matches_key_only_answer():
     assert np.array_equal(full.payload.rows, key.payload.rows)
     assert full.ledger.h2d_bytes == 196 * 10_000
     assert key.ledger.h2d_bytes == 12 * 10_000
+
+
+def test_proxy_full_row_streams_its_payload_through_the_staging_pair():
+    n = 1_000_000
+    keys = random_key_vector(n, 12)
+    assert -(-188 * n // STAGING_BYTES) == 12  # pieces of the payload copy
+    with ProxyDevice(workers=2) as dev:
+        tracemalloc.start()
+        try:
+            full = dev.topk(keys, 100, mode=FULL_ROW, payload_bytes=188)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        key = dev.topk(keys, 100)
+    assert full.ledger.h2d_bytes == 196 * n
+    assert np.array_equal(full.payload.rows, key.payload.rows)
+    # the staging pair and the key and row-id copies, about 46 MB; a fresh
+    # destination for the whole payload would add 188 MB
+    assert peak < 64e6
+
+
+def test_key_only_calls_make_no_staging_buffer():
+    keys = random_key_vector(100_000, 13)
+    tracemalloc.start()
+    try:
+        with ProxyDevice(workers=2) as dev:
+            dev.topk(keys, 100)
+            dev.probe(keys, keys)
+            assert dev._staging is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < STAGING_BYTES
+
+
+def test_closed_proxy_device_holds_no_staging_buffer():
+    keys = random_key_vector(1_000, 14)
+    tracemalloc.start()
+    try:
+        dev = ProxyDevice(workers=1)
+        dev.topk(keys, 10, mode=FULL_ROW, payload_bytes=188)
+        held, _ = tracemalloc.get_traced_memory()
+        dev.close()
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dev._staging is None
+    assert held - left >= 2 * STAGING_BYTES
 
 
 def signed_keys_with_zeros(n, seed, low=-256, high=256):

@@ -7,6 +7,7 @@ import pytest
 
 from golp.errors import CapacityError
 from golp.store import (
+    KEY_DOMAIN,
     ColumnTable,
     KeyVector,
     SeededPayload,
@@ -14,6 +15,7 @@ from golp.store import (
     generate_table,
     load_table,
     materialize,
+    _rng,
     random_keys,
     save_table,
 )
@@ -33,6 +35,17 @@ def test_keys_do_not_depend_on_payload_width():
     wide = generate_table(300, 250, seed=3)
     assert np.array_equal(narrow.key_column, wide.key_column)
     assert np.array_equal(narrow.key_column, random_keys(300, 3))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 4097, 1_000_000])
+def test_random_keys_are_the_integer_draw(seed, n):
+    # no golden digest covers key values (modeled figures are clock arithmetic),
+    # so this pins the in-place draw to the integer draw it replaced
+    want = _rng(seed).integers(0, KEY_DOMAIN, size=n, dtype=np.int64).astype(np.float64)
+    got = random_keys(n, seed)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 def test_table_shape_and_validation():
@@ -121,7 +134,8 @@ def test_generated_table_holds_only_its_keys():
     finally:
         tracemalloc.stop()
     assert t.payload_column.shape == (n, 188)
-    assert peak < 24 * n
+    # 8 key bytes, 4 row-id bytes and the finite check's 1-byte mask per row
+    assert peak < 15 * n
 
 
 def test_materialize_fetches_exact_rows():
